@@ -13,10 +13,13 @@ vet:
 # queues (service fleet incl. remote proxies + dynamic membership, the
 # fault injector, simulated GPU engine, cpuref pools, the shared hypertree
 # memo cache, and the cross-signature batched verification primitives in
-# wots/fors/xmss/hypertree).
+# wots/fors/xmss/hypertree). perfbench is its own Go module, so the root
+# ./... never compiles it; vetting and testing it here makes a change to
+# the service API it builds against fail CI rather than the benchmark run.
 test: vet
 	$(GO) test ./...
 	$(GO) test -race ./service/... ./internal/faultinject/ ./internal/gpu/... ./internal/cpuref/... ./internal/spx/treecache/... ./internal/spx/ ./internal/spx/wots/ ./internal/spx/fors/ ./internal/spx/xmss/ ./internal/spx/hypertree/
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench regenerates the paper evaluation as machine-readable JSON so the
 # perf trajectory can be tracked across PRs (BENCH_*.json).
@@ -44,8 +47,8 @@ serve: build
 # authenticated dynamic membership: three leaf servers announce themselves
 # to a zero-backend front end, one leaf crashes mid-run (ejected by health,
 # retired by lease expiry), a fourth joins late and then leaves cleanly,
-# with assertions on ejection latency, goodput recovery, tail latency, the
-# hedge budget, the membership event log and signature byte-identity.
+# with assertions on ejection latency, goodput recovery under failover,
+# tail latency, the membership event log and signature byte-identity.
 fleet-demo: build
 	$(GO) run ./examples/fleet-demo
 

@@ -10,7 +10,7 @@
 //	               [-shed reject-newest] [-tenant-rate 0] [-tenant-burst 0]
 //	               [-drain 10s]
 //	               [-max-batch 64] [-deadline 2ms] [-key hexfile]
-//	               [-remote "http://leaf1:8080,http://leaf2:8080"] [-hedge-p 95]
+//	               [-remote "http://leaf1:8080,http://leaf2:8080"]
 //	               [-replica-of http://peer:8080]
 //	               [-fleet-secret s|@file] [-fleet-tls-cert f] [-fleet-tls-key f]
 //	               [-fleet-tls-ca f] [-fleet-dynamic]
@@ -42,17 +42,16 @@
 //
 // -remote turns this instance into a fleet-of-fleets front end: each URL
 // becomes a proxy backend that forwards batches to another herosign-serve
-// over HTTP, with health-probed weights, outlier ejection and (with
-// -hedge-p N) hedged retries past the Nth percentile of recent batch
-// latencies. Leaves must be started with this front end's -key (and shard
-// count) so the derived key domains line up; startup fails otherwise. A
-// remote-only front end (-gpus "" -cpuref 0 -remote ...) does no local
-// signing at all.
+// over HTTP, with health-probed weights, outlier ejection and failover to
+// a sibling leaf on connection errors, 5xx and 429. Leaves must be started
+// with this front end's -key (and shard count) so the derived key domains
+// line up; startup fails otherwise. A remote-only front end (-gpus ""
+// -cpuref 0 -remote ...) does no local signing at all.
 //
 // -replica-of asserts this server is interchangeable with a peer: it
 // fetches the peer's /v1/keys and refuses to start unless the catalogs
 // match, catching replicas launched with the wrong key file before a front
-// end hedges requests across them.
+// end fails requests over between them.
 //
 // -fleet-secret arms fleet authentication: every front↔leaf request (proxy
 // calls, health probes, key-domain verification, membership traffic)
@@ -126,7 +125,6 @@ func main() {
 	deadline := flag.Duration("deadline", 2*time.Millisecond, "coalescing flush deadline")
 	keyFile := flag.String("key", "", "hex-encoded private key file (default: generate)")
 	remotes := flag.String("remote", "", "comma-separated leaf herosign-serve URLs to proxy as backends")
-	hedgeP := flag.Int("hedge-p", 0, "hedge remote batches past this percentile of recent latencies (0 = no hedging)")
 	replicaOf := flag.String("replica-of", "", "peer URL whose /v1/keys catalog this server must match")
 	fleetSecret := flag.String("fleet-secret", "", "shared fleet-auth secret (@file reads it from a file)")
 	fleetTLSCert := flag.String("fleet-tls-cert", "", "TLS certificate file: served by this server, presented as client cert to leaves")
@@ -206,11 +204,7 @@ func main() {
 			opts = append(opts, herosign.WithBackend(herosign.NewCPURefBackend(*cpuref)))
 		}
 	}
-	fleetOpts := remote.Options{
-		HedgePercentile: *hedgeP,
-		Secret:          secret,
-		TLSConfig:       tlsCfg,
-	}
+	fleetOpts := remote.Options{Secret: secret, TLSConfig: tlsCfg}
 	if *remotes != "" {
 		if *keyFile == "" {
 			fatal(fmt.Errorf("-remote requires -key: the leaves must be started with the same key file so the derived key domains line up"))
@@ -421,7 +415,7 @@ func fleetCAPool(path string) (*x509.CertPool, error) {
 // checkReplicaOf compares this server's key catalog to a peer's: same
 // parameter set, and every local shard key present in the peer with a
 // byte-identical public key. Two servers passing the check against each
-// other are safe hedge/failover targets for the same key domains.
+// other are safe failover targets for the same key domains.
 func checkReplicaOf(peer string, svc *herosign.Service) error {
 	peer = strings.TrimRight(strings.TrimSpace(peer), "/")
 	client := &http.Client{Timeout: 10 * time.Second}

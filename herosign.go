@@ -49,7 +49,7 @@
 //
 // Fleets compose across machines: package herosign/service/remote wraps a
 // whole remote herosign-serve instance as a Backend (health-weighted
-// routing, outlier ejection, hedged retries), so a front-end service can
+// routing, outlier ejection, failover), so a front-end service can
 // proxy batches to leaf nodes over HTTP — see README "Multi-host
 // deployment".
 //

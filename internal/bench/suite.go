@@ -124,7 +124,7 @@ func Experiments() []Experiment {
 		{"lanes", "Host multi-lane SHA-256 engine (wall-clock)", (*Suite).LaneEngine},
 		{"overload", "Admission control under 2x overload (wall-clock)", (*Suite).Overload},
 		{"tenants", "Tenant isolation: paced tenant vs closed-loop flood (wall-clock)", (*Suite).Tenants},
-		{"remote", "Remote fleet-of-fleets: hedging and degraded leaf (wall-clock)", (*Suite).RemoteFleet},
+		{"remote", "Remote fleet-of-fleets: failover and degraded leaf (wall-clock)", (*Suite).RemoteFleet},
 		{"memo", "Per-key hypertree memoization: cold vs warmed steady-state (wall-clock)", (*Suite).Memo},
 	}
 }

@@ -5,7 +5,7 @@
 // blackholes by rule. Rules select traffic per path prefix and per host,
 // fire with a probability, and can be bounded to a duration or a count —
 // the building blocks of the chaos suite that drives the signing fleet's
-// resilience claims (ejection, half-open recovery, hedging, drain) against
+// resilience claims (ejection, half-open recovery, failover, drain) against
 // real partial failures instead of ad-hoc stubs.
 //
 // Everything is plain build-tag-free library code: tests arm rules through

@@ -67,7 +67,7 @@ wait_ready "http://127.0.0.1:$LEAF_PORT" leaf
 
 echo "== remote-only front on :$FRONT_PORT =="
 "$workdir/herosign-serve" -addr "127.0.0.1:$FRONT_PORT" \
-    -gpus "" -remote "http://127.0.0.1:$LEAF_PORT" -hedge-p 95 \
+    -gpus "" -remote "http://127.0.0.1:$LEAF_PORT" \
     -key "$workdir/key.hex" -queue-limit -1 \
     -replica-of "http://127.0.0.1:$LEAF_PORT" &
 front_pid=$!
@@ -116,7 +116,7 @@ wait_stats() {
 
 echo "== dynamic front on :$CHAOS_FRONT_PORT =="
 "$workdir/herosign-serve" -addr "127.0.0.1:$CHAOS_FRONT_PORT" \
-    -gpus "" -fleet-dynamic -fleet-secret "@$workdir/secret" -hedge-p 95 \
+    -gpus "" -fleet-dynamic -fleet-secret "@$workdir/secret" \
     -key "$workdir/key.hex" -queue-limit -1 &
 cfront_pid=$!
 pids="$pids $cfront_pid"

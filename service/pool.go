@@ -128,6 +128,9 @@ func (p *pool) run(ctx context.Context, key *PrivateKey, keyID string) {
 			return
 		}
 		j := p.queue[0]
+		// Clear the slot so the backing array does not keep the executed
+		// batch (messages, signatures, futures) reachable.
+		p.queue[0] = nil
 		p.queue = p.queue[1:]
 		p.mu.Unlock()
 

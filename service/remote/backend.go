@@ -13,8 +13,8 @@ import (
 )
 
 // Backend proxies one leaf server as a service.Backend. Construct through
-// Fleet.Backends; the fleet supplies the shared transport, health checker,
-// latency tracker and hedge budget.
+// Fleet.Backends; the fleet supplies the shared transport and health
+// checker.
 type Backend struct {
 	f    *Fleet
 	leaf *leaf
@@ -128,16 +128,13 @@ func (b *Backend) Warm(key *service.PrivateKey) error {
 }
 
 // RunBatch executes one flushed batch on the fleet: the primary attempt
-// goes to this backend's leaf, hedging and failover may involve siblings
-// of the same key domain, and the first success wins.
+// goes to this backend's leaf, and retryable failures fail over to
+// siblings of the same key domain.
 func (b *Backend) RunBatch(ctx context.Context, key *service.PrivateKey, job *service.Job) (*service.BatchOutput, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b.leaf.mu.Lock()
-	keyID := b.leaf.keyID
-	b.leaf.mu.Unlock()
-	if keyID == "" {
+	if b.leaf.domain() == "" {
 		return nil, fmt.Errorf("remote: backend %s used before Warm", b.Name())
 	}
 	sched := schedMeta{deadlinesMs: job.DeadlinesMs, tenants: job.Tenants}
@@ -155,31 +152,20 @@ func (b *Backend) RunBatch(ctx context.Context, key *service.PrivateKey, job *se
 // RemoteHealth implements service.RemoteHealthReporter for /v1/stats.
 func (b *Backend) RemoteHealth() service.RemoteLeafStats {
 	l := b.leaf
-	l.mu.Lock()
 	st := service.RemoteLeafStats{
-		URL:              l.url,
-		KeyID:            l.keyID,
-		State:            l.state.String(),
-		EWMASigsPerSec:   l.ewmaSigs,
-		LatencyEWMAMs:    l.ewmaLatMs,
-		WeightSigsPerSec: l.ewmaSigs,
+		WeightSigsPerSec: b.Weight(),
+		Probes:           l.probes.Load(),
+		ProbeFailures:    l.probeFailures.Load(),
+		Ejections:        l.ejections.Load(),
+		PrimarySends:     l.primarySends.Load(),
+		Failovers:        l.failovers.Load(),
+		Errors:           l.errorsTotal.Load(),
+		Overloads:        l.overloads.Load(),
 	}
-	if st.WeightSigsPerSec < b.f.opts.MinWeight {
-		st.WeightSigsPerSec = b.f.opts.MinWeight
-	}
-	if l.state == stateEjected {
-		st.WeightSigsPerSec = 0
-	}
+	l.mu.Lock()
+	st.URL, st.KeyID, st.State = l.url, l.keyID, l.state.String()
+	st.EWMASigsPerSec, st.LatencyEWMAMs = l.ewmaSigs, l.ewmaLatMs
 	l.mu.Unlock()
-	st.Probes = l.probes.Load()
-	st.ProbeFailures = l.probeFailures.Load()
-	st.Ejections = l.ejections.Load()
-	st.PrimarySends = l.primarySends.Load()
-	st.HedgesSent = l.hedgesSent.Load()
-	st.HedgeWins = l.hedgeWins.Load()
-	st.Failovers = l.failovers.Load()
-	st.Errors = l.errorsTotal.Load()
-	st.Overloads = l.overloads.Load()
 	return st
 }
 
@@ -190,7 +176,7 @@ func (b *Backend) Close() error {
 	return nil
 }
 
-// pickSibling chooses a failover/hedge target serving the same key domain:
+// pickSibling chooses a failover target serving the same key domain:
 // available, not yet attempted, least in flight (ties broken by weight).
 func (f *Fleet) pickSibling(keyID string, attempted map[*leaf]bool) *leaf {
 	var best *leaf
@@ -216,142 +202,15 @@ func (f *Fleet) pickSibling(keyID string, attempted map[*leaf]bool) *leaf {
 	return best
 }
 
-// attemptResult is one leaf's answer for a proxied sign batch.
-type attemptResult struct {
-	leaf  *leaf
-	sigs  [][]byte
-	dur   time.Duration
-	err   error
-	hedge bool
-}
-
-// runSign proxies one sign batch with hedging and failover. The first
-// successful attempt resolves the batch; losing attempts are canceled
-// (the leaf may still complete the work — that redundancy is the price of
-// the tail cut, which is why the hedge budget is capped).
-func (f *Fleet) runSign(ctx context.Context, primary *leaf, msgs [][]byte, sched schedMeta) (*service.BatchOutput, error) {
-	runCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-
-	keyID := func(l *leaf) string {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.keyID
-	}
-	maxAttempts := f.maxAttempts()
-	results := make(chan attemptResult, maxAttempts)
-	attempted := make(map[*leaf]bool, maxAttempts)
-	pending := 0
-
-	send := func(l *leaf, hedge bool) {
-		attempted[l] = true
-		pending++
-		l.inflight.Add(1)
-		go func() {
-			actx, cancel := context.WithTimeout(runCtx, f.opts.RequestTimeout)
-			defer cancel()
-			t0 := time.Now()
-			sigs, err := f.tr.signBatch(actx, l.url, keyID(l), msgs, sched)
-			dur := time.Since(t0)
-			l.inflight.Add(-1)
-			canceled := runCtx.Err() != nil && err != nil
-			switch {
-			case canceled:
-				// The race was decided elsewhere; a canceled loser says
-				// nothing about the leaf's health.
-			case err == nil:
-				f.tracker.add(dur)
-				l.observeSuccess(f.opts, dur, len(msgs))
-			case errors.Is(err, service.ErrOverloaded):
-				l.observeOverload()
-			case hardFailure(err):
-				l.observeHardFailure(f.opts)
-			default:
-				l.observeSoftFailure()
-			}
-			results <- attemptResult{leaf: l, sigs: sigs, dur: dur, err: err, hedge: hedge}
-		}()
-	}
-
-	primary.primarySends.Add(1)
-	f.budget.recordPrimary()
-	send(primary, false)
-
-	// Arm the hedge timer from the adaptive percentile of recent
-	// completions; dormant until the tracker has seen enough traffic.
-	var hedgeCh <-chan time.Time
-	if f.opts.HedgePercentile > 0 {
-		if d, ok := f.tracker.percentile(f.opts.HedgePercentile, f.opts.HedgeMinSamples); ok {
-			timer := time.NewTimer(d)
-			defer timer.Stop()
-			hedgeCh = timer.C
-		}
-	}
-
-	var overloadMax time.Duration
-	sawOverload := false
-	var lastErr error
-	for pending > 0 {
-		select {
-		case res := <-results:
-			pending--
-			if res.err == nil {
-				if res.hedge {
-					res.leaf.hedgeWins.Add(1)
-				}
-				return &service.BatchOutput{
-					Sigs:   res.sigs,
-					BusyUs: float64(res.dur.Microseconds()),
-				}, nil
-			}
-			var over *service.OverloadError
-			if errors.As(res.err, &over) {
-				sawOverload = true
-				if over.RetryAfter > overloadMax {
-					overloadMax = over.RetryAfter
-				}
-			} else {
-				lastErr = res.err
-			}
-			// Failover: with no attempt left in flight and budget for
-			// another leaf, retry the batch on a sibling. Does not spend
-			// hedge budget — this is correctness rerouting, not tail
-			// trimming.
-			if pending == 0 && retryable(res.err) && len(attempted) < maxAttempts {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				if sib := f.pickSibling(keyID(primary), attempted); sib != nil {
-					res.leaf.failovers.Add(1)
-					send(sib, false)
-				}
-			}
-		case <-hedgeCh:
-			hedgeCh = nil
-			if len(attempted) < maxAttempts && f.budget.tryAcquire() {
-				if sib := f.pickSibling(keyID(primary), attempted); sib != nil {
-					primary.hedgesSent.Add(1)
-					send(sib, true)
-				}
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	// Every attempted leaf failed. Overload wins the error ranking: it is
-	// retryable by the client, and it must carry the *leaves'* drain
-	// estimate (the max across attempted leaves), not one recomputed from
-	// the front end's own queue.
-	if sawOverload {
-		return nil, &service.OverloadError{Scope: "leaf", RetryAfter: overloadMax}
-	}
-	return nil, lastErr
-}
-
-// runFailover executes op against the primary, then against siblings on
-// retryable errors — the non-hedged path shared by verify and keygen.
+// runFailover executes op against the primary, then against siblings of
+// the same key domain on a hard failure or a leaf overload (another
+// replica may have queue room) — the one attempt → classify → failover
+// path every proxied batch kind takes. The winning attempt's duration is
+// its BusyUs. An attempt cut short by the caller's ctx says nothing about
+// the leaf and is not counted against its health.
 func (f *Fleet) runFailover(ctx context.Context, primary *leaf,
-	op func(ctx context.Context, l *leaf) error) error {
+	op func(ctx context.Context, l *leaf, keyID string) (*service.BatchOutput, error)) (*service.BatchOutput, error) {
+	primary.primarySends.Add(1)
 	l := primary
 	maxAttempts := f.maxAttempts()
 	attempted := make(map[*leaf]bool, maxAttempts)
@@ -360,19 +219,21 @@ func (f *Fleet) runFailover(ctx context.Context, primary *leaf,
 	var lastErr error
 	for len(attempted) < maxAttempts && l != nil {
 		attempted[l] = true
+		kid := l.domain()
 		l.inflight.Add(1)
 		actx, cancel := context.WithTimeout(ctx, f.opts.RequestTimeout)
 		t0 := time.Now()
-		err := op(actx, l)
+		out, err := op(actx, l, kid)
 		cancel()
 		dur := time.Since(t0)
 		l.inflight.Add(-1)
 		if err == nil {
-			l.observeSuccess(f.opts, dur, 1)
-			return nil
+			l.observeSuccess(f.opts, dur)
+			out.BusyUs = float64(dur.Microseconds())
+			return out, nil
 		}
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 		var over *service.OverloadError
 		switch {
@@ -387,64 +248,59 @@ func (f *Fleet) runFailover(ctx context.Context, primary *leaf,
 			lastErr = err
 		default:
 			l.observeSoftFailure()
-			return err // 4xx: retrying elsewhere cannot help
-		}
-		if !retryable(err) {
-			return err
+			return nil, err // 4xx: retrying elsewhere cannot help
 		}
 		prev := l
-		l.mu.Lock()
-		kid := l.keyID
-		l.mu.Unlock()
 		l = f.pickSibling(kid, attempted)
 		if l != nil {
 			prev.failovers.Add(1)
 		}
 	}
+	// Every attempted leaf failed. Overload wins the error ranking: it is
+	// retryable by the client, and it must carry the *leaves'* drain
+	// estimate (the max across attempted leaves), not one recomputed from
+	// the front end's own queue.
 	if sawOverload {
-		return &service.OverloadError{Scope: "leaf", RetryAfter: overloadMax}
+		return nil, &service.OverloadError{Scope: "leaf", RetryAfter: overloadMax}
 	}
-	return lastErr
+	return nil, lastErr
+}
+
+func (f *Fleet) runSign(ctx context.Context, primary *leaf, msgs [][]byte, sched schedMeta) (*service.BatchOutput, error) {
+	return f.runFailover(ctx, primary, func(actx context.Context, l *leaf, kid string) (*service.BatchOutput, error) {
+		sigs, err := f.tr.signBatch(actx, l.url, kid, msgs, sched)
+		if err != nil {
+			return nil, err
+		}
+		return &service.BatchOutput{Sigs: sigs}, nil
+	})
 }
 
 func (f *Fleet) runVerify(ctx context.Context, primary *leaf, msgs, sigs [][]byte, sched schedMeta) (*service.BatchOutput, error) {
-	primary.primarySends.Add(1)
-	var out *service.BatchOutput
-	err := f.runFailover(ctx, primary, func(actx context.Context, l *leaf) error {
-		l.mu.Lock()
-		kid := l.keyID
-		l.mu.Unlock()
-		t0 := time.Now()
+	return f.runFailover(ctx, primary, func(actx context.Context, l *leaf, kid string) (*service.BatchOutput, error) {
 		ok, err := f.tr.verifyBatch(actx, l.url, kid, msgs, sigs, sched)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out = &service.BatchOutput{OK: ok, BusyUs: float64(time.Since(t0).Microseconds())}
-		return nil
+		return &service.BatchOutput{OK: ok}, nil
 	})
-	return out, err
 }
 
 func (f *Fleet) runKeyGen(ctx context.Context, primary *leaf, p *service.Params, seeds []service.SeedTriple) (*service.BatchOutput, error) {
-	primary.primarySends.Add(1)
-	var out *service.BatchOutput
-	err := f.runFailover(ctx, primary, func(actx context.Context, l *leaf) error {
-		t0 := time.Now()
+	return f.runFailover(ctx, primary, func(actx context.Context, l *leaf, _ string) (*service.BatchOutput, error) {
 		raw, err := f.tr.keygen(actx, l.url, seeds)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		keys := make([]*service.PrivateKey, len(raw))
 		for i, kb := range raw {
 			sk, err := spx.ParsePrivateKey(p, kb)
 			if err != nil {
-				return &StatusError{URL: l.url, Status: 200,
+				return nil, &StatusError{URL: l.url, Status: 200,
 					Msg: fmt.Sprintf("keygen key %d does not parse: %v", i, err)}
 			}
 			keys[i] = sk
 		}
-		out = &service.BatchOutput{Keys: keys, BusyUs: float64(time.Since(t0).Microseconds())}
-		return nil
+		return &service.BatchOutput{Keys: keys}, nil
 	})
-	return out, err
 }

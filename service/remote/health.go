@@ -73,8 +73,6 @@ type leaf struct {
 	probeFailures atomic.Int64
 	ejections     atomic.Int64
 	primarySends  atomic.Int64
-	hedgesSent    atomic.Int64
-	hedgeWins     atomic.Int64
 	failovers     atomic.Int64
 	errorsTotal   atomic.Int64
 	overloads     atomic.Int64
@@ -116,6 +114,14 @@ func (l *leaf) weight(min float64) float64 {
 	return l.ewmaSigs
 }
 
+// domain is the front-end key domain the leaf was warmed for ("" before
+// Warm).
+func (l *leaf) domain() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.keyID
+}
+
 // eject quarantines the leaf with exponential backoff. Caller holds l.mu.
 func (l *leaf) ejectLocked(o Options) {
 	if l.state == stateEjected {
@@ -142,7 +148,7 @@ func (l *leaf) ejectLocked(o Options) {
 // observeSuccess folds one completed batch into the health record. A
 // success during a half-open trial restores the leaf to healthy and resets
 // its quarantine backoff.
-func (l *leaf) observeSuccess(o Options, dur time.Duration, n int) {
+func (l *leaf) observeSuccess(o Options, dur time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.winSends++

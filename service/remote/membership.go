@@ -278,8 +278,8 @@ func (r *Registrar) handleLeave(w http.ResponseWriter, req *http.Request) {
 }
 
 // retire removes a member end to end: out of the sibling set first (no new
-// hedges or failovers target it), then out of the router (its pool drains
-// under the drain timeout), then the event is logged.
+// failovers target it), then out of the router (its pool drains under the
+// drain timeout), then the event is logged.
 func (r *Registrar) retire(leafURL, event string) bool {
 	r.mu.Lock()
 	m, ok := r.members[leafURL]

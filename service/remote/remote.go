@@ -13,13 +13,10 @@
 //     rate degrades, or whose latency z-scores away from its siblings is
 //     quarantined (the router stops dispatching to it) and probed back in
 //     with half-open trials under exponential-backoff quarantine;
-//   - hedged retries — when a sign batch's in-flight time exceeds an
-//     adaptive percentile of recent completions, the batch is re-issued to
-//     a sibling replica of the same key domain and the first success wins,
-//     with a budget cap so hedging cannot double fleet load;
-//   - failover — hard transport errors (connection refused, 5xx) retry on
-//     a sibling immediately without spending hedge budget, so a dying leaf
-//     causes rerouting, not client-visible errors;
+//   - failover — a retryable error (connection refused, 5xx, 429) retries
+//     the batch on a sibling replica of the same key domain, so a dying
+//     leaf causes rerouting, not client-visible errors; sign, verify and
+//     keygen batches all take this one attempt → classify → failover path;
 //   - connection pooling, per-attempt timeouts, and clean shutdown: the
 //     router closes each Backend after its pool drains, and the last close
 //     stops the probe loop and releases idle connections.
@@ -47,18 +44,6 @@ import (
 
 // Options tunes a Fleet. The zero value selects the documented defaults.
 type Options struct {
-	// HedgePercentile arms hedged retries: a sign batch still in flight
-	// past this percentile of recent completion latencies is re-issued to
-	// a sibling leaf of the same key domain. 0 disables hedging; 95 hedges
-	// past p95. Values are clamped to [50, 99].
-	HedgePercentile int
-	// HedgeMaxFraction caps hedge volume as a fraction of primary sends
-	// (default 0.10), so hedging cannot double fleet load.
-	HedgeMaxFraction float64
-	// HedgeMinSamples is how many completions the latency tracker needs
-	// before hedging arms (default 8).
-	HedgeMinSamples int
-
 	// ProbeInterval is the health checker's period (default 500ms);
 	// ProbeTimeout bounds one /v1/stats probe (default 2s).
 	ProbeInterval time.Duration
@@ -68,7 +53,7 @@ type Options struct {
 	// admission control, not the transport, is the backpressure mechanism).
 	RequestTimeout time.Duration
 	// MaxAttempts caps how many distinct leaves one batch may try across
-	// failover and hedging (default 3, clamped to the fleet size).
+	// failover (default 3, clamped to the fleet size).
 	MaxAttempts int
 
 	// EjectProbeFailures is the consecutive failed probes that quarantine
@@ -119,20 +104,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.HedgePercentile != 0 {
-		if o.HedgePercentile < 50 {
-			o.HedgePercentile = 50
-		}
-		if o.HedgePercentile > 99 {
-			o.HedgePercentile = 99
-		}
-	}
-	if o.HedgeMaxFraction <= 0 {
-		o.HedgeMaxFraction = 0.10
-	}
-	if o.HedgeMinSamples <= 0 {
-		o.HedgeMinSamples = 8
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 500 * time.Millisecond
 	}
@@ -172,16 +143,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Fleet is one group of leaf servers behind a shared transport, health
-// checker, latency tracker and hedge budget. Backends hands out one
-// service.Backend per leaf; register them with herosign.WithBackend (or
-// service.WithBackends) on the front end.
+// Fleet is one group of leaf servers behind a shared transport and health
+// checker. Backends hands out one service.Backend per leaf; register them
+// with herosign.WithBackend (or service.WithBackends) on the front end.
 type Fleet struct {
-	opts    Options
-	tr      *transport
-	tracker *latencyTracker
-	budget  *hedgeBudget
-	events  *eventLog
+	opts   Options
+	tr     *transport
+	events *eventLog
 
 	leafMu sync.RWMutex
 	leaves []*leaf
@@ -234,12 +202,10 @@ func NewDynamicFleet(opts Options) (*Fleet, error) {
 
 func newFleet(opts Options) (*Fleet, error) {
 	f := &Fleet{
-		opts:    opts.withDefaults(),
-		tracker: newLatencyTracker(256),
-		events:  newEventLog(64),
-		stop:    make(chan struct{}),
+		opts:   opts.withDefaults(),
+		events: newEventLog(64),
+		stop:   make(chan struct{}),
 	}
-	f.budget = &hedgeBudget{frac: f.opts.HedgeMaxFraction}
 	f.tr = newTransport(f.opts)
 	return f, nil
 }
@@ -304,7 +270,7 @@ func (f *Fleet) AddLeaf(rawURL string) (*Backend, error) {
 }
 
 // RemoveLeaf drops a leaf from the membership so probes stop and it is no
-// longer picked as a hedge/failover sibling. The caller still closes the
+// longer picked as a failover sibling. The caller still closes the
 // leaf's Backend (Service.RemoveBackend does, after draining its pool).
 func (f *Fleet) RemoveLeaf(b *Backend) {
 	if b == nil || b.f != f {

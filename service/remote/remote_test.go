@@ -2,10 +2,13 @@ package remote
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -167,21 +170,23 @@ func TestWarmRejectsMismatchedKey(t *testing.T) {
 }
 
 // fakeLeaf is a scriptable leaf: real wire format, fake execution. It lets
-// the health, hedging and failover paths run in milliseconds.
+// the health and failover paths run in milliseconds.
 type fakeLeaf struct {
 	t     *testing.T
 	name  string
 	key   *spx.PrivateKey
 	keyID string
 
-	mu           sync.Mutex
-	signDelay    time.Duration
-	signStatus   int // 0 serves; otherwise the HTTP status to return
+	mu sync.Mutex
+	// delay and status script every batch endpoint (sign, verify, keygen):
+	// status 0 serves, otherwise it is the HTTP status to return.
+	delay        time.Duration
+	status       int
 	retryAfterMs int64
 	statsStatus  int // 0 serves; otherwise /v1/stats returns this
 
-	signCalls atomic.Int64
-	signMsgs  atomic.Int64
+	calls    atomic.Int64 // batch requests received
+	signMsgs atomic.Int64
 
 	srv *httptest.Server
 }
@@ -195,6 +200,40 @@ func (f *fakeLeaf) set(fn func(*fakeLeaf)) {
 // sig fabricates a recognizable per-leaf signature.
 func (f *fakeLeaf) sig(msg []byte) []byte {
 	return append([]byte("sig:"+f.name+":"), msg...)
+}
+
+// root fabricates a recognizable per-leaf public root for keygen.
+func (f *fakeLeaf) root() []byte {
+	return bytes.Repeat([]byte(f.name[:1]), f.key.Params.N)
+}
+
+// scripted applies the leaf's scripted delay and status to one batch
+// request, reporting whether it already answered it.
+func (f *fakeLeaf) scripted(w http.ResponseWriter, r *http.Request) bool {
+	f.calls.Add(1)
+	f.mu.Lock()
+	delay, status, retry := f.delay, f.status, f.retryAfterMs
+	f.mu.Unlock()
+	if delay > 0 {
+		// Buffer the body first: the server notices a vanished client
+		// (canceling r.Context) only once the body has been read.
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		select {
+		case <-time.After(delay):
+		case <-r.Context().Done():
+			return true
+		}
+	}
+	if status == 0 {
+		return false
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]any{
+		"error": "scripted failure", "retry_after_ms": retry,
+	})
+	return true
 }
 
 func newFakeLeaf(t *testing.T, name string, key *spx.PrivateKey) *fakeLeaf {
@@ -226,23 +265,7 @@ func newFakeLeaf(t *testing.T, name string, key *spx.PrivateKey) *fakeLeaf {
 		})
 	})
 	mux.HandleFunc("POST /v1/sign/batch", func(w http.ResponseWriter, r *http.Request) {
-		f.signCalls.Add(1)
-		f.mu.Lock()
-		delay, status, retry := f.signDelay, f.signStatus, f.retryAfterMs
-		f.mu.Unlock()
-		if delay > 0 {
-			select {
-			case <-time.After(delay):
-			case <-r.Context().Done():
-				return
-			}
-		}
-		if status != 0 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			json.NewEncoder(w).Encode(map[string]any{
-				"error": "scripted failure", "retry_after_ms": retry,
-			})
+		if f.scripted(w, r) {
 			return
 		}
 		var req struct {
@@ -259,19 +282,48 @@ func newFakeLeaf(t *testing.T, name string, key *spx.PrivateKey) *fakeLeaf {
 		f.signMsgs.Add(int64(len(req.Messages)))
 		json.NewEncoder(w).Encode(map[string]any{"key_id": f.keyID, "signatures": sigs})
 	})
+	// A signature verifies on this leaf only if this leaf fabricated it, so
+	// verdicts name the leaf that answered.
 	mux.HandleFunc("POST /v1/verify/batch", func(w http.ResponseWriter, r *http.Request) {
+		if f.scripted(w, r) {
+			return
+		}
 		var req struct {
-			Messages [][]byte `json:"messages"`
+			Messages   [][]byte `json:"messages"`
+			Signatures [][]byte `json:"signatures"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		valid := make([]bool, len(req.Messages))
-		for i := range valid {
-			valid[i] = true
+		for i, m := range req.Messages {
+			valid[i] = i < len(req.Signatures) && bytes.Equal(req.Signatures[i], f.sig(m))
 		}
 		json.NewEncoder(w).Encode(map[string]any{"key_id": f.keyID, "valid": valid})
+	})
+	// Keygen echoes the seeds and stamps this leaf's root on every key.
+	mux.HandleFunc("POST /v1/keygen", func(w http.ResponseWriter, r *http.Request) {
+		if f.scripted(w, r) {
+			return
+		}
+		var req struct {
+			Seeds []struct {
+				SKSeed []byte `json:"sk_seed"`
+				SKPRF  []byte `json:"sk_prf"`
+				PKSeed []byte `json:"pk_seed"`
+			} `json:"seeds"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		keys := make([]map[string]any, len(req.Seeds))
+		for i, sd := range req.Seeds {
+			sk := slices.Concat(sd.SKSeed, sd.SKPRF, sd.PKSeed, f.root())
+			keys[i] = map[string]any{"private_key": sk}
+		}
+		json.NewEncoder(w).Encode(map[string]any{"keys": keys})
 	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
@@ -319,8 +371,8 @@ func TestRetryAfterPropagation(t *testing.T) {
 	key := testKey(t)
 	a := newFakeLeaf(t, "a", key)
 	b := newFakeLeaf(t, "b", key)
-	a.set(func(f *fakeLeaf) { f.signStatus = 429; f.retryAfterMs = 200 })
-	b.set(func(f *fakeLeaf) { f.signStatus = 429; f.retryAfterMs = 1500 })
+	a.set(func(f *fakeLeaf) { f.status = 429; f.retryAfterMs = 200 })
+	b.set(func(f *fakeLeaf) { f.status = 429; f.retryAfterMs = 1500 })
 
 	_, backends := fakeFleet(t, slowProbes, a, b)
 	_, err := backends[0].RunBatch(t.Context(), key, signJob("m"))
@@ -338,8 +390,8 @@ func TestRetryAfterPropagation(t *testing.T) {
 		t.Fatal("leaf overload does not unwrap to ErrOverloaded")
 	}
 	// Both leaves were tried (failover across replicas), neither ejected.
-	if a.signCalls.Load() != 1 || b.signCalls.Load() != 1 {
-		t.Fatalf("sign calls a=%d b=%d, want 1 each", a.signCalls.Load(), b.signCalls.Load())
+	if a.calls.Load() != 1 || b.calls.Load() != 1 {
+		t.Fatalf("sign calls a=%d b=%d, want 1 each", a.calls.Load(), b.calls.Load())
 	}
 	for _, rb := range backends {
 		if !rb.Available() {
@@ -348,28 +400,109 @@ func TestRetryAfterPropagation(t *testing.T) {
 	}
 }
 
-// TestFailoverOnHardError: a 5xx from the primary reroutes the batch to a
-// sibling replica without surfacing an error, and without spending hedge
-// budget.
+// TestFailoverOnHardError: for every batch kind, a 5xx from the primary
+// reroutes the batch to a sibling replica without surfacing an error, and
+// the failover is charged to the leaf that failed.
 func TestFailoverOnHardError(t *testing.T) {
+	key := testKey(t)
+	p := key.Params
+	seed := func(b byte) service.SeedTriple {
+		return service.SeedTriple{
+			SKSeed: bytes.Repeat([]byte{b}, p.N),
+			SKPRF:  bytes.Repeat([]byte{b + 1}, p.N),
+			PKSeed: bytes.Repeat([]byte{b + 2}, p.N),
+		}
+	}
+	cases := []struct {
+		name  string
+		job   func(a, b *fakeLeaf) *service.Job
+		check func(t *testing.T, out *service.BatchOutput, a, b *fakeLeaf)
+	}{
+		{"sign",
+			func(a, b *fakeLeaf) *service.Job { return signJob("m0", "m1") },
+			func(t *testing.T, out *service.BatchOutput, a, b *fakeLeaf) {
+				for i, m := range []string{"m0", "m1"} {
+					if !bytes.Equal(out.Sigs[i], b.sig([]byte(m))) {
+						t.Fatalf("signature %d did not come from the sibling leaf", i)
+					}
+				}
+			}},
+		{"verify",
+			func(a, b *fakeLeaf) *service.Job {
+				msgs := [][]byte{[]byte("m0"), []byte("m1")}
+				return &service.Job{Kind: service.KindVerify, Msgs: msgs,
+					Sigs: [][]byte{b.sig(msgs[0]), a.sig(msgs[1])}}
+			},
+			func(t *testing.T, out *service.BatchOutput, a, b *fakeLeaf) {
+				if !slices.Equal(out.OK, []bool{true, false}) {
+					t.Fatalf("verdicts %v, want the sibling's [true false]", out.OK)
+				}
+			}},
+		{"keygen",
+			func(a, b *fakeLeaf) *service.Job {
+				return &service.Job{Kind: service.KindKeyGen,
+					Seeds: []service.SeedTriple{seed(1), seed(7)}}
+			},
+			func(t *testing.T, out *service.BatchOutput, a, b *fakeLeaf) {
+				for i, sd := range []service.SeedTriple{seed(1), seed(7)} {
+					k := out.Keys[i]
+					if !bytes.Equal(k.SKSeed, sd.SKSeed) || !bytes.Equal(k.SKPRF, sd.SKPRF) ||
+						!bytes.Equal(k.PublicKey.Seed, sd.PKSeed) {
+						t.Fatalf("key %d does not match its seeds", i)
+					}
+					if !bytes.Equal(k.PublicKey.Root, b.root()) {
+						t.Fatalf("key %d did not come from the sibling leaf", i)
+					}
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newFakeLeaf(t, "a", key)
+			b := newFakeLeaf(t, "b", key)
+			a.set(func(f *fakeLeaf) { f.status = 500 })
+
+			_, backends := fakeFleet(t, slowProbes, a, b)
+			out, err := backends[0].RunBatch(t.Context(), key, tc.job(a, b))
+			if err != nil {
+				t.Fatalf("failover batch: %v", err)
+			}
+			tc.check(t, out, a, b)
+			if got := backends[0].RemoteHealth().Failovers; got != 1 {
+				t.Fatalf("failovers = %d, want 1", got)
+			}
+			if got := backends[1].RemoteHealth().Failovers; got != 0 {
+				t.Fatalf("sibling failovers = %d, want 0", got)
+			}
+		})
+	}
+}
+
+// TestCallerCancelSparesLeafHealth: a caller that gives up mid-attempt gets
+// its ctx error back, and the abandoned attempt counts neither as a leaf
+// error nor as a failover.
+func TestCallerCancelSparesLeafHealth(t *testing.T) {
 	key := testKey(t)
 	a := newFakeLeaf(t, "a", key)
 	b := newFakeLeaf(t, "b", key)
-	a.set(func(f *fakeLeaf) { f.signStatus = 500 })
+	a.set(func(f *fakeLeaf) { f.delay = 5 * time.Second })
 
-	fleet, backends := fakeFleet(t, slowProbes, a, b)
-	out, err := backends[0].RunBatch(t.Context(), key, signJob("m0", "m1"))
-	if err != nil {
-		t.Fatalf("failover batch: %v", err)
+	_, backends := fakeFleet(t, slowProbes, a, b)
+	ctx, cancel := context.WithCancel(t.Context())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	_, err := backends[0].RunBatch(ctx, key, signJob("m"))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if !bytes.Equal(out.Sigs[0], b.sig([]byte("m0"))) {
-		t.Fatal("failover result did not come from the sibling leaf")
+	st := backends[0].RemoteHealth()
+	if st.Errors != 0 || st.Failovers != 0 {
+		t.Fatalf("canceled attempt counted against the leaf: %+v", st)
 	}
-	if got := backends[0].RemoteHealth().Failovers; got != 1 {
-		t.Fatalf("failovers = %d, want 1", got)
+	if !backends[0].Available() {
+		t.Fatal("a caller cancellation must not make the leaf unavailable")
 	}
-	if fleet.budget.hedges != 0 {
-		t.Fatalf("failover consumed %d hedge budget", fleet.budget.hedges)
+	if b.calls.Load() != 0 {
+		t.Fatal("a canceled batch must not fail over")
 	}
 }
 
@@ -379,7 +512,7 @@ func TestRequestFailureEjection(t *testing.T) {
 	key := testKey(t)
 	a := newFakeLeaf(t, "a", key)
 	b := newFakeLeaf(t, "b", key)
-	a.set(func(f *fakeLeaf) { f.signStatus = 500 })
+	a.set(func(f *fakeLeaf) { f.status = 500 })
 
 	_, backends := fakeFleet(t, slowProbes, a, b)
 	for i := 0; i < 2; i++ {
@@ -441,88 +574,6 @@ func TestProbeEjectionAndRecovery(t *testing.T) {
 	}
 	if st := rb.RemoteHealth(); st.State != "healthy" {
 		t.Fatalf("leaf state after successful trial = %s, want healthy", st.State)
-	}
-}
-
-// TestHedgedRetryCutsTail: a batch stuck past the adaptive percentile is
-// re-issued to a sibling and the sibling's fast answer wins.
-func TestHedgedRetryCutsTail(t *testing.T) {
-	key := testKey(t)
-	slow := newFakeLeaf(t, "slow", key)
-	fast := newFakeLeaf(t, "fast", key)
-	slow.set(func(f *fakeLeaf) { f.signDelay = 400 * time.Millisecond })
-
-	opts := slowProbes
-	opts.HedgePercentile = 90
-	fleet, backends := fakeFleet(t, opts, slow, fast)
-
-	// Prime the latency tracker with fast completions and the budget with
-	// enough primaries that one hedge is within the 10% cap.
-	for i := 0; i < 16; i++ {
-		fleet.tracker.add(5 * time.Millisecond)
-		fleet.budget.recordPrimary()
-	}
-
-	t0 := time.Now()
-	out, err := backends[0].RunBatch(t.Context(), key, signJob("tail"))
-	if err != nil {
-		t.Fatalf("hedged batch: %v", err)
-	}
-	if d := time.Since(t0); d >= 400*time.Millisecond {
-		t.Fatalf("hedge did not cut the tail: batch took %v", d)
-	}
-	if !bytes.Equal(out.Sigs[0], fast.sig([]byte("tail"))) {
-		t.Fatal("winning signature did not come from the hedge target")
-	}
-	if got := backends[0].RemoteHealth().HedgesSent; got != 1 {
-		t.Fatalf("primary hedgesSent = %d, want 1", got)
-	}
-	if got := backends[1].RemoteHealth().HedgeWins; got != 1 {
-		t.Fatalf("sibling hedgeWins = %d, want 1", got)
-	}
-}
-
-// TestHedgeBudgetStrictCap: hedge volume may never exceed the configured
-// fraction of primary sends, from the very first request.
-func TestHedgeBudgetStrictCap(t *testing.T) {
-	b := &hedgeBudget{frac: 0.10}
-	granted := 0
-	for i := 0; i < 200; i++ {
-		b.recordPrimary()
-		if b.tryAcquire() {
-			granted++
-		}
-		if float64(b.hedges) > float64(b.primaries)*b.frac {
-			t.Fatalf("after %d primaries: %d hedges exceeds 10%%", b.primaries, b.hedges)
-		}
-	}
-	if granted == 0 {
-		t.Fatal("budget never granted a hedge across 200 primaries")
-	}
-	if granted > 20 {
-		t.Fatalf("granted %d hedges for 200 primaries, cap is 20", granted)
-	}
-}
-
-func TestLatencyTrackerPercentile(t *testing.T) {
-	tr := newLatencyTracker(64)
-	if _, ok := tr.percentile(95, 8); ok {
-		t.Fatal("tracker returned a percentile before minSamples")
-	}
-	for i := 1; i <= 100; i++ {
-		tr.add(time.Duration(i) * time.Millisecond)
-	}
-	// Ring holds the most recent 64 samples: 37ms..100ms.
-	p50, ok := tr.percentile(50, 8)
-	if !ok {
-		t.Fatal("percentile unavailable after 100 samples")
-	}
-	if p50 < 60*time.Millisecond || p50 > 80*time.Millisecond {
-		t.Fatalf("p50 = %v, want ~68ms over the 37..100ms window", p50)
-	}
-	p99, _ := tr.percentile(99, 8)
-	if p99 < p50 {
-		t.Fatal("p99 below p50")
 	}
 }
 

@@ -29,7 +29,7 @@ type signBatchReq struct {
 }
 
 // schedMeta carries a proxied batch's per-message scheduling metadata
-// (from service.Job) to the wire encoders. Hedge and failover resends reuse
+// (from service.Job) to the wire encoders. Failover resends reuse
 // the same snapshot: the remaining-deadline values were taken at dispatch,
 // which slightly overstates the remaining time on a late resend — the leaf
 // still drops truly expired work itself.
@@ -110,23 +110,8 @@ type TransportError struct {
 func (e *TransportError) Error() string { return fmt.Sprintf("remote: leaf %s: %v", e.URL, e.Err) }
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// retryable reports whether a sibling leaf could plausibly serve the same
-// request: transport failures, 5xx, and leaf overloads (another replica
-// may have queue room).
-func retryable(err error) bool {
-	var te *TransportError
-	if errors.As(err, &te) {
-		return true
-	}
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Status >= 500
-	}
-	return errors.Is(err, service.ErrOverloaded)
-}
-
-// hardFailure reports whether the error should count toward ejection (an
-// overloaded leaf is healthy, just full).
+// hardFailure reports whether the error should count toward ejection:
+// transport failures and 5xx. An overloaded leaf is healthy, just full.
 func hardFailure(err error) bool {
 	var te *TransportError
 	if errors.As(err, &te) {

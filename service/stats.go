@@ -123,8 +123,9 @@ type ShardStats struct {
 
 // RemoteLeafStats reports one remote leaf's health as seen by its
 // front-end backend: the health checker's state machine, the probe-fed
-// weight, and the hedging counters. Backends surface it by implementing
-// RemoteHealthReporter; /v1/stats lists one entry per remote-backed pool.
+// weight, and the send and failover counters. Backends surface it by
+// implementing RemoteHealthReporter; /v1/stats lists one entry per
+// remote-backed pool.
 type RemoteLeafStats struct {
 	URL   string `json:"url"`
 	KeyID string `json:"key_id,omitempty"` // key domain the leaf was warmed for
@@ -143,21 +144,22 @@ type RemoteLeafStats struct {
 	ProbeFailures int64 `json:"probe_failures"`
 	Ejections     int64 `json:"ejections"`
 
-	// PrimarySends counts batches first issued to this leaf; HedgesSent
-	// counts hedge copies this leaf's slow batches spawned on siblings;
-	// HedgeWins counts hedges that finished first. Failovers are retries
-	// after a hard transport error (they do not spend hedge budget).
+	// PrimarySends counts batches first issued to this leaf. Failovers
+	// counts batches this leaf failed with a retryable error (transport,
+	// 5xx, 429) that were retried on a sibling.
 	PrimarySends int64 `json:"primary_sends"`
-	HedgesSent   int64 `json:"hedges_sent"`
-	HedgeWins    int64 `json:"hedge_wins"`
 	Failovers    int64 `json:"failovers"`
 	Errors       int64 `json:"errors"`
 	Overloads    int64 `json:"overloads"` // 429s the leaf returned
+
+	// HedgesSent is always 0: the fleet no longer hedges. The field is
+	// kept for existing /v1/stats readers.
+	HedgesSent int64 `json:"hedges_sent"`
 }
 
 // RemoteHealthReporter is an optional Backend refinement: remote-leaf
-// backends expose their health/hedge telemetry through it and Stats
-// surfaces the snapshots under "remote_leaves".
+// backends expose their health telemetry through it and Stats surfaces
+// the snapshots under "remote_leaves".
 type RemoteHealthReporter interface {
 	RemoteHealth() RemoteLeafStats
 }

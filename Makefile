@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-short bench-compare serve fleet-demo fleet-smoke
+.PHONY: build test vet fuzz-short bench bench-short bench-compare serve fleet-demo fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,12 @@ test: vet
 	$(GO) test ./...
 	$(GO) test -race ./service/... ./internal/faultinject/ ./internal/gpu/... ./internal/cpuref/... ./internal/spx/treecache/... ./internal/spx/ ./internal/spx/wots/ ./internal/spx/fors/ ./internal/spx/xmss/ ./internal/spx/hypertree/
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# fuzz-short mutates the shared HTTP scheduling parser beyond its committed
+# seed corpus (service/testdata/fuzz/FuzzSchedItems), which the plain test
+# run already replays.
+fuzz-short:
+	$(GO) test ./service/ -run '^$$' -fuzz '^FuzzSchedItems$$' -fuzztime 20s
 
 # bench regenerates the paper evaluation as machine-readable JSON so the
 # perf trajectory can be tracked across PRs (BENCH_*.json).

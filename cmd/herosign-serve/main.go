@@ -161,22 +161,22 @@ func main() {
 	isFront := *fleetDynamic || *remotes != ""
 
 	opts := []herosign.ServiceOption{
-		herosign.WithServiceParams(p),
-		herosign.WithServiceFlushDeadline(*deadline),
-		herosign.WithShards(*shards),
-		herosign.WithQueueLimit(*queueLimit),
-		herosign.WithGlobalQueueLimit(*globalLimit),
-		herosign.WithShedPolicy(policy),
-		herosign.WithDrainDeadline(*drain),
+		service.WithParams(p),
+		service.WithFlushDeadline(*deadline),
+		service.WithShards(*shards),
+		service.WithQueueLimit(*queueLimit),
+		service.WithGlobalQueueLimit(*globalLimit),
+		service.WithShedPolicy(policy),
+		service.WithDrainDeadline(*drain),
 	}
 	if *tenantRate > 0 {
-		opts = append(opts, herosign.WithTenantRate(*tenantRate))
+		opts = append(opts, service.WithTenantRate(*tenantRate))
 		if *tenantBurst > 0 {
-			opts = append(opts, herosign.WithTenantBurst(*tenantBurst))
+			opts = append(opts, service.WithTenantBurst(*tenantBurst))
 		}
 	}
 	if *maxBatch > 0 {
-		opts = append(opts, herosign.WithServiceMaxBatch(*maxBatch))
+		opts = append(opts, service.WithMaxBatch(*maxBatch))
 	}
 	if secret != "" && (*joinURL != "" || !isFront) {
 		opts = append(opts, service.WithFleetSecret(secret))
@@ -194,14 +194,14 @@ func main() {
 			}
 			devs = append(devs, d)
 		}
-		opts = append(opts, herosign.WithServiceDevices(devs...))
+		opts = append(opts, service.WithDevices(devs...))
 	}
 	if *cpuref != 0 {
 		if *memoMB > 0 {
-			opts = append(opts, herosign.WithBackend(
+			opts = append(opts, service.WithBackends(
 				herosign.NewCPURefBackendMemo(*cpuref, int64(*memoMB)<<20, *memoWarm)))
 		} else {
-			opts = append(opts, herosign.WithBackend(herosign.NewCPURefBackend(*cpuref)))
+			opts = append(opts, service.WithBackends(herosign.NewCPURefBackend(*cpuref)))
 		}
 	}
 	fleetOpts := remote.Options{Secret: secret, TLSConfig: tlsCfg}
@@ -213,7 +213,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opts = append(opts, herosign.WithBackend(fleet.Backends()...))
+		opts = append(opts, service.WithBackends(fleet.Backends()...))
 	}
 	var dynFleet *remote.Fleet
 	if *fleetDynamic {
@@ -239,7 +239,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opts = append(opts, herosign.WithServiceKey(sk))
+		opts = append(opts, service.WithKey(sk))
 	}
 
 	svc, err := herosign.NewService(opts...)
@@ -312,7 +312,7 @@ func main() {
 		}
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := newServer(*addr, handler)
 	if *fleetTLSCA != "" && *fleetTLSCert != "" {
 		pool, err := fleetCAPool(*fleetTLSCA)
 		if err != nil {
@@ -358,6 +358,30 @@ func main() {
 		_ = registrar.Close()
 	}
 	fmt.Println("drained; bye")
+}
+
+// Connection limits against slow or idle clients (slowloris). There is no
+// write timeout: a sign legitimately waits behind admission and coalescing
+// for longer than any fixed write budget.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second // whole request; bodies are capped at service.MaxBodyBytes
+	// idleTimeout outlives the fleet proxy transport's 90 s idle timeout, so
+	// a front end retires an idle connection before its leaf closes it.
+	idleTimeout    = 2 * time.Minute
+	maxHeaderBytes = 64 << 10
+)
+
+// newServer builds the HTTP server for handler with the connection limits.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 // loadFleetSecret resolves -fleet-secret: empty, a literal, or @file.

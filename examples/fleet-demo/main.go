@@ -84,10 +84,10 @@ func main() {
 			log.Fatal(err)
 		}
 		leaf, err := herosign.NewService(
-			herosign.WithServiceParams(p),
-			herosign.WithServiceKey(sk),
-			herosign.WithServiceDevices(dev),
-			herosign.WithQueueLimit(herosign.AutoQueueLimit),
+			service.WithParams(p),
+			service.WithKey(sk),
+			service.WithDevices(dev),
+			service.WithQueueLimit(service.AutoQueueLimit),
 			service.WithFleetSecret(fleetSecret),
 		)
 		if err != nil {
@@ -99,9 +99,9 @@ func main() {
 	// The front end starts with ZERO backends: leaves are admitted at
 	// runtime through the membership protocol.
 	front, err := herosign.NewService(
-		herosign.WithServiceParams(p),
-		herosign.WithServiceKey(sk),
-		herosign.WithQueueLimit(herosign.AutoQueueLimit),
+		service.WithParams(p),
+		service.WithKey(sk),
+		service.WithQueueLimit(service.AutoQueueLimit),
 		service.WithDynamicMembership(),
 	)
 	if err != nil {
@@ -198,10 +198,7 @@ func main() {
 			for ctx.Err() == nil {
 				msg := fmt.Sprintf("fleet-demo-%d", seq.Add(1))
 				t0 := time.Now()
-				fut, err := front.SubmitSign([]byte(msg))
-				if err == nil {
-					_, err = fut.Wait(ctx)
-				}
+				_, err := front.Sign(ctx, []byte(msg))
 				switch {
 				case err == nil:
 					mu.Lock()
@@ -366,11 +363,7 @@ func main() {
 
 	// KAT cross-check: one more signature through the proxy path must be
 	// byte-identical to the CPU reference.
-	fut, err := front.SubmitSign([]byte("kat-after-failover"))
-	if err != nil {
-		die("post-run sign: %v", err)
-	}
-	res, err := fut.Wait(context.Background())
+	sig, err := front.Sign(context.Background(), []byte("kat-after-failover"))
 	if err != nil {
 		die("post-run sign: %v", err)
 	}
@@ -378,7 +371,7 @@ func main() {
 	if err != nil {
 		die("reference sign: %v", err)
 	}
-	check(bytes.Equal(res.Sig, ref), "proxied signature byte-identical to CPU reference")
+	check(bytes.Equal(sig, ref), "proxied signature byte-identical to CPU reference")
 
 	if fails > 0 {
 		die("%d assertion(s) failed", fails)

@@ -80,12 +80,12 @@ func main() {
 	}
 	mixedOpts := func() []herosign.ServiceOption {
 		return []herosign.ServiceOption{
-			herosign.WithServiceParams(p),
-			herosign.WithServiceKey(sk),
-			herosign.WithServiceDevices(dev),
-			herosign.WithBackend(cpuBackend()),
-			herosign.WithShards(2),
-			herosign.WithServiceFlushDeadline(2 * time.Millisecond),
+			service.WithParams(p),
+			service.WithKey(sk),
+			service.WithDevices(dev),
+			service.WithBackends(cpuBackend()),
+			service.WithShards(2),
+			service.WithFlushDeadline(2 * time.Millisecond),
 		}
 	}
 
@@ -101,27 +101,28 @@ func main() {
 	}
 
 	// --- Open-loop submission: fire every request without waiting. ---
+	ctx := context.Background()
+	// submit queues one item on its own, so each request is coalesced
+	// (and routed) independently.
+	submit := func(kind service.Kind, keyID string, it service.Item) *service.Future {
+		futs, err := svc.Submit(ctx, service.Request{Kind: kind, KeyID: keyID, Items: []service.Item{it}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return futs[0]
+	}
 	start := time.Now()
 	msgs := make([][]byte, *n)
 	futs := make([]*service.Future, *n)
 	for i := range msgs {
 		msgs[i] = []byte(fmt.Sprintf("service-demo message %d", i))
-		fut, err := svc.SubmitSign(msgs[i])
-		if err != nil {
-			log.Fatal(err)
-		}
-		futs[i] = fut
+		futs[i] = submit(service.KindSign, "", service.Item{Msg: msgs[i]})
 	}
 	var keyFuts []*service.Future
 	for i := 0; i < *keygens; i++ {
-		fut, err := svc.SubmitKeyGen(nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		keyFuts = append(keyFuts, fut)
+		keyFuts = append(keyFuts, submit(service.KindKeyGen, "", service.Item{}))
 	}
 
-	ctx := context.Background()
 	sigs := make([][]byte, *n)
 	keyIDs := make([]string, *n)
 	perShard := map[string]int{}
@@ -150,11 +151,7 @@ func main() {
 			m = append([]byte("tampered "), m...)
 			tampered++
 		}
-		fut, err := svc.SubmitVerifyKey(keyIDs[i], m, sigs[i])
-		if err != nil {
-			log.Fatal(err)
-		}
-		verFuts = append(verFuts, fut)
+		verFuts = append(verFuts, submit(service.KindVerify, keyIDs[i], service.Item{Msg: m, Sig: sigs[i]}))
 	}
 	badVerdicts := 0
 	for i, fut := range verFuts {
@@ -272,9 +269,9 @@ func main() {
 	// at once over HTTP; overflow must 429 while admitted p99 stays sane.
 	// ------------------------------------------------------------------
 	bounded, err := herosign.NewService(append(mixedOpts(),
-		herosign.WithQueueLimit(*queueLimit),
-		herosign.WithServiceMaxBatch(16),
-		herosign.WithDrainDeadline(10*time.Second),
+		service.WithQueueLimit(*queueLimit),
+		service.WithMaxBatch(16),
+		service.WithDrainDeadline(10*time.Second),
 	)...)
 	if err != nil {
 		log.Fatal(err)
@@ -379,10 +376,10 @@ func main() {
 		quietN      = 15
 	)
 	metered, err := herosign.NewService(append(mixedOpts(),
-		herosign.WithTenantRate(tenantRate),
-		herosign.WithTenantBurst(tenantBurst),
-		herosign.WithServiceMaxBatch(16),
-		herosign.WithDrainDeadline(10*time.Second),
+		service.WithTenantRate(tenantRate),
+		service.WithTenantBurst(tenantBurst),
+		service.WithMaxBatch(16),
+		service.WithDrainDeadline(10*time.Second),
 	)...)
 	if err != nil {
 		log.Fatal(err)

@@ -21,29 +21,38 @@
 // # Serving layer quickstart
 //
 // On top of the batch engine, NewService builds a concurrent
-// request-coalescing signing service (package herosign/service): individual
-// Submit calls are coalesced into GPU-sized batches — flushed on a size
-// threshold or a deadline, whichever fires first — and a shard router
-// spreads the batches over pluggable backends (simulated GPU devices, the
-// real-CPU lane engine via NewCPURefBackend, or custom Backend
-// implementations) with weighted least-outstanding-work dispatch. Each
-// shard owns its own keypair; bounded admission control (WithQueueLimit)
-// sheds overload as ErrOverloaded instead of growing queues without bound.
-// An HTTP/JSON front end (Service.Handler) exposes /v1/sign,
-// /v1/sign/batch, /v1/verify, /v1/keygen, /v1/keys and /v1/stats, mapping
-// overload to 429 with Retry-After.
+// request-coalescing signing service (package herosign/service). Work
+// enters through one call, Service.Submit, and is coalesced into GPU-sized
+// batches — flushed on a size threshold or a deadline, whichever fires
+// first — while a shard router spreads the batches over pluggable backends
+// (simulated GPU devices, the real-CPU lane engine via NewCPURefBackend, or
+// custom Backend implementations) with weighted least-outstanding-work
+// dispatch. Each shard owns its own keypair; bounded admission control
+// (service.WithQueueLimit) sheds overload as ErrOverloaded instead of
+// growing queues without bound. The service is configured with the
+// service.With* options directly. An HTTP/JSON front end (Service.Handler)
+// exposes /v1/sign, /v1/sign/batch, /v1/verify, /v1/verify/batch,
+// /v1/keygen, /v1/keys and /v1/stats, mapping overload to 429 with
+// Retry-After.
 //
 //	svc, err := herosign.NewService(
-//		herosign.WithServiceParams(herosign.SPHINCSPlus128f),
-//		herosign.WithServiceDevices(gpuA, gpuB),       // one worker per device
-//		herosign.WithBackend(herosign.NewCPURefBackend(8)), // mix in real CPU
-//		herosign.WithShards(2),                        // two key domains
-//		herosign.WithQueueLimit(herosign.AutoQueueLimit),
+//		service.WithParams(herosign.SPHINCSPlus128f),
+//		service.WithDevices(gpuA, gpuB),                         // one worker per device
+//		service.WithBackends(herosign.NewCPURefBackend(8)),      // mix in real CPU
+//		service.WithShards(2),                                   // two key domains
+//		service.WithQueueLimit(herosign.AutoQueueLimit),
 //	)
 //	if err != nil { ... }
 //	defer svc.Close()
 //
-//	sig, err := svc.Sign(ctx, msg)            // coalesced under the hood
+//	// One item is admitted alone; several are admitted all-or-nothing.
+//	futs, err := svc.Submit(ctx, service.Request{
+//		Kind:  service.KindSign,
+//		Items: []service.Item{{Msg: a}, {Msg: b, Deadline: time.Now().Add(time.Second)}},
+//	})
+//	res, err := futs[0].Wait(ctx)           // res.Sig, res.KeyID, ...
+//
+//	sig, err := svc.Sign(ctx, msg)            // blocking helpers over Submit
 //	ok, err := svc.Verify(ctx, msg, sig)      // ok == true
 //	http.ListenAndServe(":8080", svc.Handler())
 //
@@ -61,8 +70,6 @@
 package herosign
 
 import (
-	"time"
-
 	"herosign/internal/baseline"
 	"herosign/internal/core"
 	"herosign/internal/core/tuner"
@@ -251,7 +258,7 @@ func (a *Accelerator) Device() *GPU { return a.signer.Device() }
 // HTTP/JSON front end.
 type Service = service.Service
 
-// ServiceOption configures NewService.
+// ServiceOption configures NewService; the options are service.With*.
 type ServiceOption = service.Option
 
 // Backend is one executor in the service fleet: a simulated GPU device, the
@@ -263,7 +270,7 @@ type Backend = service.Backend
 // ShedPolicy selects what an over-limit shard does with overflow load.
 type ShedPolicy = service.ShedPolicy
 
-// Shed policies for WithShedPolicy.
+// Shed policies for service.WithShedPolicy.
 const (
 	RejectNewest       = service.RejectNewest
 	DropOldestDeadline = service.DropOldestDeadline
@@ -292,72 +299,6 @@ func NewCPURefBackend(threads int) Backend { return service.NewCPURefBackend(thr
 func NewCPURefBackendMemo(threads int, memoBytes int64, warm bool) Backend {
 	return service.NewCPURefBackendMemo(threads, memoBytes, warm)
 }
-
-// Service options, wrapped so callers need only this package. The
-// WithService* names avoid clashing with the Accelerator options.
-
-// WithServiceParams selects the parameter set (default SPHINCS+-128f).
-func WithServiceParams(p *Params) ServiceOption { return service.WithParams(p) }
-
-// WithServiceKey installs the signing key (default: freshly generated).
-func WithServiceKey(sk *PrivateKey) ServiceOption { return service.WithKey(sk) }
-
-// WithServiceDevices sets the fleet, one worker per device entry.
-func WithServiceDevices(devs ...*GPU) ServiceOption { return service.WithDevices(devs...) }
-
-// WithServiceMaxBatch sets the size-triggered flush threshold (default:
-// the engine SubBatch, 64).
-func WithServiceMaxBatch(n int) ServiceOption { return service.WithMaxBatch(n) }
-
-// WithServiceFlushDeadline bounds a lone request's coalescing wait
-// (default 2ms).
-func WithServiceFlushDeadline(d time.Duration) ServiceOption { return service.WithFlushDeadline(d) }
-
-// WithServiceFeatures overrides the engine optimization set.
-func WithServiceFeatures(f Features) ServiceOption { return service.WithFeatures(f) }
-
-// WithServiceSubBatch sets the engine launch-group granularity.
-func WithServiceSubBatch(n int) ServiceOption { return service.WithSubBatch(n) }
-
-// WithServiceStreams sets the engine stream count.
-func WithServiceStreams(n int) ServiceOption { return service.WithStreams(n) }
-
-// WithBackend registers pre-built backends (NewDeviceBackend,
-// NewCPURefBackend, or custom) alongside any WithServiceDevices workers.
-func WithBackend(bs ...Backend) ServiceOption { return service.WithBackends(bs...) }
-
-// WithShards splits the service into n key domains; backends distribute
-// round-robin across them and each shard signs under its own derived key.
-func WithShards(n int) ServiceOption { return service.WithShards(n) }
-
-// WithQueueLimit bounds each shard's admitted-but-unresolved messages
-// (AutoQueueLimit derives the bound from backend capacities; 0 means
-// unbounded). Past the bound, submits fail with ErrOverloaded and the HTTP
-// front end answers 429 with Retry-After.
-func WithQueueLimit(n int) ServiceOption { return service.WithQueueLimit(n) }
-
-// WithGlobalQueueLimit bounds the whole service's admitted-but-unresolved
-// messages the same way.
-func WithGlobalQueueLimit(n int) ServiceOption { return service.WithGlobalQueueLimit(n) }
-
-// WithShedPolicy selects the overload behavior: RejectNewest (default) or
-// DropOldestDeadline.
-func WithShedPolicy(p ShedPolicy) ServiceOption { return service.WithShedPolicy(p) }
-
-// WithDrainDeadline bounds how long Service.Close waits for queued batches
-// before abandoning them (zero waits for a full drain).
-func WithDrainDeadline(d time.Duration) ServiceOption { return service.WithDrainDeadline(d) }
-
-// WithTenantRate enables per-tenant fair queuing: each API key's admitted
-// messages draw from its own token bucket refilling at rate messages/s, so
-// one hot tenant is rate-limited (429) before it can starve a shard. Zero
-// (the default) disables rate limiting; per-tenant counters in /v1/stats
-// stay on either way.
-func WithTenantRate(rate float64) ServiceOption { return service.WithTenantRate(rate) }
-
-// WithTenantBurst caps each tenant's token bucket (default: one second of
-// the tenant rate, floored at 8).
-func WithTenantBurst(n int) ServiceOption { return service.WithTenantBurst(n) }
 
 // NewService builds the request-coalescing signing service. See the
 // package documentation's serving-layer quickstart.

@@ -5,6 +5,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"herosign/service"
 )
 
 func apiKey(t testing.TB, p *Params) *PrivateKey {
@@ -219,15 +221,15 @@ func TestServiceBackendAPI(t *testing.T) {
 	p := SPHINCSPlus128f
 	gpu, _ := GPUByName("RTX 4090")
 	svc, err := NewService(
-		WithServiceParams(p),
-		WithServiceKey(apiKey(t, p)),
-		WithServiceDevices(gpu),
-		WithBackend(NewCPURefBackend(1)),
-		WithShards(2),
-		WithQueueLimit(AutoQueueLimit),
-		WithShedPolicy(RejectNewest),
-		WithDrainDeadline(time.Minute),
-		WithServiceFlushDeadline(2*time.Millisecond),
+		service.WithParams(p),
+		service.WithKey(apiKey(t, p)),
+		service.WithDevices(gpu),
+		service.WithBackends(NewCPURefBackend(1)),
+		service.WithShards(2),
+		service.WithQueueLimit(AutoQueueLimit),
+		service.WithShedPolicy(RejectNewest),
+		service.WithDrainDeadline(time.Minute),
+		service.WithFlushDeadline(2*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -72,12 +72,14 @@ func (s *Suite) overloadRow(t *Table, policy service.ShedPolicy, queueLimit, off
 		go func(i int) {
 			defer wg.Done()
 			t0 := time.Now()
-			fut, err := svc.SubmitSign([]byte(fmt.Sprintf("overload-%d", i)))
+			futs, err := svc.Submit(context.Background(), service.Request{
+				Kind: service.KindSign, Items: []service.Item{{Msg: []byte(fmt.Sprintf("overload-%d", i))}},
+			})
 			if err != nil {
 				outcomes[i] = outcome{atSubmit: true, err: err}
 				return
 			}
-			_, err = fut.Wait(context.Background())
+			_, err = futs[0].Wait(context.Background())
 			outcomes[i] = outcome{admitted: err == nil, latency: time.Since(t0), err: err}
 		}(i)
 	}

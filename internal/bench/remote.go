@@ -135,9 +135,11 @@ func (s *Suite) RemoteFleet() (*Table, error) {
 				for ctx.Err() == nil {
 					msg := fmt.Sprintf("remote-bench-%d", seq.Add(1))
 					t0 := time.Now()
-					fut, err := front.SubmitSign([]byte(msg))
+					futs, err := front.Submit(ctx, service.Request{
+						Kind: service.KindSign, Items: []service.Item{{Msg: []byte(msg)}},
+					})
 					if err == nil {
-						_, err = fut.Wait(ctx)
+						_, err = futs[0].Wait(ctx)
 					}
 					switch {
 					case ctx.Err() != nil:

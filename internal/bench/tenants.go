@@ -82,11 +82,9 @@ func (s *Suite) tenantRow(t *Table, name string, withHot bool, rate float64, bur
 			hotWG.Add(1)
 			go func(w int) {
 				defer hotWG.Done()
-				msgs := make([][]byte, hotBatch)
-				hotOpts := make([]service.SubmitOpts, hotBatch)
-				for i := range msgs {
-					msgs[i] = []byte(fmt.Sprintf("hot-%d-%d", w, i))
-					hotOpts[i] = service.SubmitOpts{Tenant: "hot"}
+				hot := service.Request{Kind: service.KindSign, Items: make([]service.Item, hotBatch)}
+				for i := range hot.Items {
+					hot.Items[i] = service.Item{Msg: []byte(fmt.Sprintf("hot-%d-%d", w, i)), Tenant: "hot"}
 				}
 				for {
 					select {
@@ -94,7 +92,7 @@ func (s *Suite) tenantRow(t *Table, name string, withHot bool, rate float64, bur
 						return
 					default:
 					}
-					futs, err := svc.SubmitSignBatchOpts("", msgs, hotOpts)
+					futs, err := svc.Submit(context.Background(), hot)
 					if err != nil {
 						if errors.Is(err, service.ErrOverloaded) {
 							hot429.Add(int64(hotBatch))
@@ -116,11 +114,13 @@ func (s *Suite) tenantRow(t *Table, name string, withHot bool, rate float64, bur
 	start := time.Now()
 	for i := 0; i < quietN; i++ {
 		t0 := time.Now()
-		fut, err := svc.SubmitSignOpts("", []byte(fmt.Sprintf("quiet-%d", i)), service.SubmitOpts{Tenant: "quiet"})
+		futs, err := svc.Submit(context.Background(), service.Request{
+			Kind: service.KindSign, Items: []service.Item{{Msg: []byte(fmt.Sprintf("quiet-%d", i)), Tenant: "quiet"}},
+		})
 		if err != nil {
 			continue // a shed quiet request still shows up as lost goodput
 		}
-		if _, err := fut.Wait(context.Background()); err == nil {
+		if _, err := futs[0].Wait(context.Background()); err == nil {
 			lats = append(lats, time.Since(t0))
 		}
 		time.Sleep(pace)

@@ -121,11 +121,11 @@ func TestGlobalLimitBelowShardLimit(t *testing.T) {
 	defer svc.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, err := svc.SubmitSign([]byte(fmt.Sprintf("hold-%d", i))); err != nil {
+		if _, err := submitSign(svc, []byte(fmt.Sprintf("hold-%d", i))); err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
 	}
-	_, err := svc.SubmitSign([]byte("rejected"))
+	_, err := submitSign(svc, []byte("rejected"))
 	if !IsOverloaded(err) {
 		t.Fatalf("4th submit err = %v, want overload", err)
 	}

@@ -28,7 +28,7 @@ var (
 	// ErrUnknownKey is returned by Submit calls naming a key ID no shard
 	// owns.
 	ErrUnknownKey = errors.New("service: unknown key id")
-	// ErrBatchTooLarge is returned by SubmitSignBatch when the batch could
+	// ErrBatchTooLarge is returned by a multi-item Submit when the batch could
 	// never fit the admission caps even on an idle service — unlike
 	// ErrOverloaded, retrying cannot help; split the batch instead.
 	ErrBatchTooLarge = errors.New("service: batch exceeds admission capacity")

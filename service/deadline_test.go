@@ -96,7 +96,8 @@ func TestExpiredDeadlinePreReject(t *testing.T) {
 	defer svc.Close()
 
 	sh := svc.router.shards[0]
-	_, err := svc.SubmitSignOpts("", []byte("late"), SubmitOpts{
+	_, err := submitOne(svc, KindSign, "", Item{
+		Msg:      []byte("late"),
 		Deadline: time.Now().Add(-time.Second),
 		Tenant:   "expired-tenant",
 	})
@@ -130,7 +131,8 @@ func TestUnmeetableDeadlinePreReject(t *testing.T) {
 	sh := svc.router.shards[0]
 
 	// Idle shard: a tight deadline must be admitted (wait estimate is zero).
-	if _, err := svc.SubmitSignOpts("", []byte("idle-ok"), SubmitOpts{
+	if _, err := submitOne(svc, KindSign, "", Item{
+		Msg:      []byte("idle-ok"),
 		Deadline: time.Now().Add(50 * time.Millisecond),
 	}); err != nil {
 		t.Fatalf("tight deadline rejected on an idle shard: %v", err)
@@ -140,7 +142,7 @@ func TestUnmeetableDeadlinePreReject(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return sh.gate.depth() == 0 })
 
 	for i := 0; i < 5; i++ {
-		if _, err := svc.SubmitSign([]byte(fmt.Sprintf("occupant-%d", i))); err != nil {
+		if _, err := submitSign(svc, []byte(fmt.Sprintf("occupant-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +150,8 @@ func TestUnmeetableDeadlinePreReject(t *testing.T) {
 		t.Fatalf("backlog depth = %d, want 5", d)
 	}
 
-	_, err := svc.SubmitSignOpts("", []byte("too-tight"), SubmitOpts{
+	_, err := submitOne(svc, KindSign, "", Item{
+		Msg:      []byte("too-tight"),
 		Deadline: time.Now().Add(50 * time.Millisecond),
 		Tenant:   "tight",
 	})
@@ -181,7 +184,8 @@ func TestDeadlineShorterThanFlushInterval(t *testing.T) {
 	defer svc.Close()
 
 	msg := []byte("tight but feasible")
-	fut, err := svc.SubmitSignOpts("", msg, SubmitOpts{
+	fut, err := submitOne(svc, KindSign, "", Item{
+		Msg:      msg,
 		Deadline: time.Now().Add(100 * time.Millisecond),
 	})
 	if err != nil {
@@ -201,14 +205,17 @@ func TestDeadlineShorterThanFlushInterval(t *testing.T) {
 // TestDeadlineTightensFlushTimer: a deadline longer than one flush interval
 // but shorter than the armed timer re-arms the flush to one interval before
 // the deadline, so the request completes well before the plain timer would
-// have fired.
+// have fired. The instant stub backend keeps execution time out of the
+// measurement: the elapsed time is the re-armed timer alone.
 func TestDeadlineTightensFlushTimer(t *testing.T) {
-	svc := newTestService(t, WithMaxBatch(100), WithFlushDeadline(500*time.Millisecond))
+	stub := &stubBackend{name: "stub", weight: 1000, cap: 64}
+	svc := newStubService(t, stub, WithFlushDeadline(500*time.Millisecond))
 	defer svc.Close()
 
 	start := time.Now()
 	// Deadline 650ms with a 500ms interval: the timer re-arms to ~150ms.
-	fut, err := svc.SubmitSignOpts("", []byte("rearm"), SubmitOpts{
+	fut, err := submitOne(svc, KindSign, "", Item{
+		Msg:      []byte("rearm"),
 		Deadline: start.Add(650 * time.Millisecond),
 	})
 	if err != nil {
@@ -233,11 +240,12 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	defer svc.Close()
 
 	// The occupant flushes immediately (MaxBatch 1) and blocks the backend.
-	occ, err := svc.SubmitSign([]byte("occupant"))
+	occ, err := submitSign(svc, []byte("occupant"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := svc.SubmitSignOpts("", []byte("victim"), SubmitOpts{
+	victim, err := submitOne(svc, KindSign, "", Item{
+		Msg:      []byte("victim"),
 		Deadline: time.Now().Add(30 * time.Millisecond),
 		Tenant:   "impatient",
 	})
@@ -325,14 +333,15 @@ func TestShedPolicyEvictsNearestDeadline(t *testing.T) {
 		WithQueueLimit(2), WithShedPolicy(DropOldestDeadline))
 	defer svc.Close()
 
-	oldest, err := svc.SubmitSign([]byte("oldest, no deadline"))
+	oldest, err := submitSign(svc, []byte("oldest, no deadline"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Far enough out that the deadline-tightened timer (deadline minus the
 	// hour-long interval) stays in the future and the request keeps
 	// coalescing.
-	doomed, err := svc.SubmitSignOpts("", []byte("nearest deadline"), SubmitOpts{
+	doomed, err := submitOne(svc, KindSign, "", Item{
+		Msg:      []byte("nearest deadline"),
 		Deadline: time.Now().Add(90 * time.Minute),
 		Tenant:   "doomed",
 	})
@@ -341,7 +350,7 @@ func TestShedPolicyEvictsNearestDeadline(t *testing.T) {
 	}
 
 	// Queue full (2/2): this admission must shed the deadline-carrying entry.
-	if _, err := svc.SubmitSign([]byte("newcomer")); err != nil {
+	if _, err := submitSign(svc, []byte("newcomer")); err != nil {
 		t.Fatalf("admission with DropOldestDeadline: %v", err)
 	}
 
@@ -377,14 +386,14 @@ func TestDeadlineRacesClose(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				opts := SubmitOpts{Tenant: fmt.Sprintf("racer-%d", g)}
+				it := Item{Msg: []byte(fmt.Sprintf("race-%d-%d", g, i)), Tenant: fmt.Sprintf("racer-%d", g)}
 				switch i % 3 {
 				case 0:
-					opts.Deadline = time.Now().Add(time.Millisecond)
+					it.Deadline = time.Now().Add(time.Millisecond)
 				case 1:
-					opts.Deadline = time.Now().Add(time.Hour)
+					it.Deadline = time.Now().Add(time.Hour)
 				}
-				fut, err := svc.SubmitSignOpts("", []byte(fmt.Sprintf("race-%d-%d", g, i)), opts)
+				fut, err := submitOne(svc, KindSign, "", it)
 				if err != nil {
 					if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrDeadlineExceeded) &&
 						!errors.Is(err, ErrOverloaded) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -221,72 +222,64 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
-// submitOptsFrom derives one submission's scheduling attributes: the tenant
-// from X-API-Key and the deadline from the X-Request-Deadline header
-// (relative milliseconds; overrides the body's deadline_ms). It reports
-// false after writing a 400 for a malformed or non-positive deadline.
-func submitOptsFrom(w http.ResponseWriter, r *http.Request, bodyDeadlineMs int64) (SubmitOpts, bool) {
-	if bodyDeadlineMs < 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("bad deadline_ms %d: want milliseconds > 0 (omit for none)", bodyDeadlineMs)})
-		return SubmitOpts{}, false
+// maxDeadlineMs caps relative deadlines so converting one to a
+// time.Duration cannot overflow into the past (~292 years).
+const maxDeadlineMs = int64(math.MaxInt64 / time.Millisecond)
+
+// schedItems is the scheduling parser every submitting endpoint shares: it
+// expands a request's scheduling input into n Items, leaving Msg, Sig and
+// Seed to the caller. The tenant comes from X-API-Key, overridden per member
+// by a non-empty tenants[i]; the deadline (relative milliseconds) from the
+// X-Request-Deadline header, else the body's deadline_ms, overridden per
+// member by a non-zero deadlines_ms[i]. Scalar endpoints pass n = 1 and nil
+// arrays. It reports false after writing a 400 for a malformed or
+// non-positive header, a negative deadline, or arrays not parallel to the
+// batch.
+func schedItems(w http.ResponseWriter, r *http.Request, n int, deadlineMs int64, deadlinesMs []int64, tenants []string) ([]Item, bool) {
+	bad := func(format string, args ...any) ([]Item, bool) {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf(format, args...)})
+		return nil, false
 	}
-	ms := bodyDeadlineMs
+	if deadlineMs < 0 {
+		return bad("bad deadline_ms %d: want milliseconds > 0 (omit for none)", deadlineMs)
+	}
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		v, err := strconv.ParseInt(h, 10, 64)
 		if err != nil || v <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error: fmt.Sprintf("bad %s %q: want an integer of milliseconds > 0", DeadlineHeader, h)})
-			return SubmitOpts{}, false
+			return bad("bad %s %q: want an integer of milliseconds > 0", DeadlineHeader, h)
 		}
-		ms = v
+		deadlineMs = v
 	}
-	opts := SubmitOpts{Tenant: r.Header.Get(TenantHeader)}
-	if ms > 0 {
-		opts.Deadline = time.Now().Add(time.Duration(ms) * time.Millisecond)
-	}
-	return opts, true
-}
-
-// batchSubmitOpts expands a batch request's scheduling fields into one
-// SubmitOpts per member: base (the header/scalar-derived attributes)
-// applies everywhere, a non-zero deadlines_ms entry overrides the deadline
-// and a non-empty tenants entry overrides the tenant. Returns nil (all
-// defaults) when nothing is set; reports false after writing a 400 for
-// mis-sized arrays or a negative per-member deadline.
-func batchSubmitOpts(w http.ResponseWriter, base SubmitOpts, n int, deadlinesMs []int64, tenants []string) ([]SubmitOpts, bool) {
 	if len(deadlinesMs) > 0 && len(deadlinesMs) != n {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf(
-			"deadlines_ms must be parallel to the batch: %d entries for %d members", len(deadlinesMs), n)})
-		return nil, false
+		return bad("deadlines_ms must be parallel to the batch: %d entries for %d members", len(deadlinesMs), n)
 	}
 	if len(tenants) > 0 && len(tenants) != n {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf(
-			"tenants must be parallel to the batch: %d entries for %d members", len(tenants), n)})
-		return nil, false
-	}
-	if base == (SubmitOpts{}) && len(deadlinesMs) == 0 && len(tenants) == 0 {
-		return nil, true
+		return bad("tenants must be parallel to the batch: %d entries for %d members", len(tenants), n)
 	}
 	now := time.Now()
-	opts := make([]SubmitOpts, n)
-	for i := range opts {
-		opts[i] = base
+	after := func(ms int64) time.Time {
+		if ms == 0 {
+			return time.Time{}
+		}
+		return now.Add(time.Duration(min(ms, maxDeadlineMs)) * time.Millisecond)
+	}
+	tenant := r.Header.Get(TenantHeader)
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Deadline: after(deadlineMs), Tenant: tenant}
 		if len(deadlinesMs) > 0 {
 			switch ms := deadlinesMs[i]; {
 			case ms < 0:
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf(
-					"bad deadlines_ms[%d] %d: want milliseconds > 0 (0 falls back to deadline_ms)", i, ms)})
-				return nil, false
+				return bad("bad deadlines_ms[%d] %d: want milliseconds > 0 (0 falls back to deadline_ms)", i, ms)
 			case ms > 0:
-				opts[i].Deadline = now.Add(time.Duration(ms) * time.Millisecond)
+				items[i].Deadline = after(ms)
 			}
 		}
 		if len(tenants) > 0 && tenants[i] != "" {
-			opts[i].Tenant = tenants[i]
+			items[i].Tenant = tenants[i]
 		}
 	}
-	return opts, true
+	return items, true
 }
 
 // decodeJSON decodes the request body, distinguishing oversized bodies
@@ -310,31 +303,28 @@ func (s *Service) handleSign(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	opts, ok := submitOptsFrom(w, r, req.DeadlineMs)
+	items, ok := schedItems(w, r, 1, req.DeadlineMs, nil, nil)
 	if !ok {
 		return
 	}
-	fut, err := s.SubmitSignOpts(req.KeyID, req.Message, opts)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, err := fut.Wait(r.Context())
+	items[0].Msg = req.Message
+	res, err := s.submitWait(r.Context(), Request{Kind: KindSign, KeyID: req.KeyID, Items: items})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, signResponse{
-		Signature: res.Sig, KeyID: res.KeyID, Shard: res.Shard, Batch: res.Batch, Device: res.Dev,
+		Signature: res[0].Sig, KeyID: res[0].KeyID, Shard: res[0].Shard, Batch: res[0].Batch, Device: res[0].Dev,
 	})
 }
 
 // handleSignBatch signs a set of messages under one key domain in a single
-// round trip. Admission is all-or-nothing: a 429 means no message of the
-// batch was admitted (and no signing work was spent on it), so a retry
-// after Retry-After is cheap; admitted members are exempt from
-// drop-oldest-deadline shedding. A batch that cannot fit the admission
-// caps at all is a 400 (split it), not a retryable 429.
+// round trip, admitted through Submit: several messages are all-or-nothing
+// (a 429 means none was admitted and no signing work was spent, so a retry
+// after Retry-After is cheap) and pinned against drop-oldest-deadline
+// shedding; a batch that cannot fit the admission caps at all is a 400
+// (split it), not a retryable 429. A one-message batch gets Submit's
+// single-item admission.
 func (s *Service) handleSignBatch(w http.ResponseWriter, r *http.Request) {
 	var req signBatchRequest
 	if !decodeJSON(w, r, &req) {
@@ -357,32 +347,26 @@ func (s *Service) handleSignBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	base, ok := submitOptsFrom(w, r, req.DeadlineMs)
+	items, ok := schedItems(w, r, len(req.Messages), req.DeadlineMs, req.DeadlinesMs, req.Tenants)
 	if !ok {
 		return
 	}
-	opts, ok := batchSubmitOpts(w, base, len(req.Messages), req.DeadlinesMs, req.Tenants)
-	if !ok {
-		return
+	for i, m := range req.Messages {
+		items[i].Msg = m
 	}
 	keyID := req.KeyID
 	if keyID == "" {
-		// Pin the whole batch to one shard so every signature shares a key.
+		// Name the routed shard so the response can report the key.
 		keyID = s.router.route().keyID
 	}
-	futs, err := s.SubmitSignBatchOpts(keyID, req.Messages, opts)
+	res, err := s.submitWait(r.Context(), Request{Kind: KindSign, KeyID: keyID, Items: items})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	resp := signBatchResponse{KeyID: keyID, Signatures: make([][]byte, 0, len(futs))}
-	for _, fut := range futs {
-		res, err := fut.Wait(r.Context())
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		resp.Signatures = append(resp.Signatures, res.Sig)
+	resp := signBatchResponse{KeyID: keyID, Signatures: make([][]byte, len(res))}
+	for i := range res {
+		resp.Signatures[i] = res[i].Sig
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -392,35 +376,28 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	opts, ok := submitOptsFrom(w, r, req.DeadlineMs)
+	items, ok := schedItems(w, r, 1, req.DeadlineMs, nil, nil)
 	if !ok {
 		return
 	}
-	fut, err := s.SubmitVerifyKeyOpts(req.KeyID, req.Message, req.Signature, opts)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, err := fut.Wait(r.Context())
+	items[0].Msg, items[0].Sig = req.Message, req.Signature
+	res, err := s.submitWait(r.Context(), Request{Kind: KindVerify, KeyID: req.KeyID, Items: items})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, verifyResponse{
-		Valid: res.Valid, KeyID: res.KeyID, Batch: res.Batch, Device: res.Dev,
+		Valid: res[0].Valid, KeyID: res[0].KeyID, Batch: res[0].Batch, Device: res[0].Dev,
 	})
 }
 
-// handleVerifyBatch checks a set of (message, signature) pairs against one
-// key domain in a single round trip — the wire path remote front ends
-// proxy coalesced verify batches through. Admission is all-or-nothing
-// (SubmitVerifyBatchKey): a 429 means no pair of the batch was admitted and
-// no verification work was spent, so a retry after Retry-After is cheap.
-// A pair whose signature has the wrong length for the parameter set is
-// reported invalid (not an error); shutdown maps to 503 for the whole
-// batch. Only when no key domain is named on a multi-shard service does the
-// batch fall back to per-pair any-shard submission, where partial admission
-// is inherent.
+// handleVerifyBatch checks a set of (message, signature) pairs in a single
+// round trip — the wire path remote front ends proxy coalesced verify
+// batches through — with Submit's admission (all-or-nothing for several
+// pairs against one key domain). A pair whose signature has the wrong
+// length for the parameter set is reported invalid (not an error);
+// shutdown maps to 503 for the whole batch. With no key domain named on a
+// multi-shard service, each pair is checked against every shard's key.
 func (s *Service) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	var req verifyBatchRequest
 	if !decodeJSON(w, r, &req) {
@@ -439,52 +416,29 @@ func (s *Service) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "batch exceeds the 256-pair cap"})
 		return
 	}
-	base, ok := submitOptsFrom(w, r, req.DeadlineMs)
+	items, ok := schedItems(w, r, len(req.Messages), req.DeadlineMs, req.DeadlinesMs, req.Tenants)
 	if !ok {
 		return
 	}
-	opts, ok := batchSubmitOpts(w, base, len(req.Messages), req.DeadlinesMs, req.Tenants)
-	if !ok {
-		return
+	for i := range items {
+		items[i].Msg, items[i].Sig = req.Messages[i], req.Signatures[i]
 	}
 	keyID := req.KeyID
 	if keyID == "" && len(s.router.shards) == 1 {
 		keyID = s.router.shards[0].keyID
 	}
-	var futs []*Future
-	if keyID != "" {
-		var err error
-		futs, err = s.SubmitVerifyBatchKeyOpts(keyID, req.Messages, req.Signatures, opts)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-	} else {
-		// No key domain on a multi-shard service: each pair must consult
-		// every shard, so pairs submit independently.
-		futs = make([]*Future, 0, len(req.Messages))
-		for i := range req.Messages {
-			memberOpts := base
-			if opts != nil {
-				memberOpts = opts[i]
-			}
-			fut, err := s.SubmitVerifyKeyOpts(keyID, req.Messages[i], req.Signatures[i], memberOpts)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			futs = append(futs, fut)
-		}
+	futs, err := s.Submit(r.Context(), Request{Kind: KindVerify, KeyID: keyID, Items: items})
+	if err != nil {
+		writeError(w, err)
+		return
 	}
-	resp := verifyBatchResponse{KeyID: keyID, Valid: make([]bool, 0, len(futs))}
-	for _, fut := range futs {
+	resp := verifyBatchResponse{KeyID: keyID, Valid: make([]bool, len(futs))}
+	for i, fut := range futs {
 		res, err := fut.Wait(r.Context())
 		switch {
 		case err == nil:
-			resp.Valid = append(resp.Valid, res.Valid)
-		case errors.Is(err, ErrSignatureLength):
-			resp.Valid = append(resp.Valid, false)
-		default:
+			resp.Valid[i] = res.Valid
+		case !errors.Is(err, ErrSignatureLength):
 			writeError(w, err)
 			return
 		}
@@ -492,58 +446,39 @@ func (s *Service) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleKeyGen derives Count random keys, or one key per seed triple, with
+// Submit's admission: several keys are admitted all-or-nothing.
 func (s *Service) handleKeyGen(w http.ResponseWriter, r *http.Request) {
 	var req keygenRequest
 	if !decodeJSON(w, r, &req) {
-		return
-	}
-	opts, ok := submitOptsFrom(w, r, req.DeadlineMs)
-	if !ok {
 		return
 	}
 	if len(req.Seeds) > 256 {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "seeds exceed the 256-key cap"})
 		return
 	}
-	if req.Count <= 0 {
-		req.Count = 1
-	}
 	if req.Count > 256 {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "count exceeds the 256-key cap"})
 		return
 	}
-	var futs []*Future
+	n := max(req.Count, 1)
 	if len(req.Seeds) > 0 {
-		// Deterministic path: one key per seed triple, Count ignored.
-		futs = make([]*Future, 0, len(req.Seeds))
-		for _, tr := range req.Seeds {
-			fut, err := s.SubmitKeyGenOpts(&core.SeedTriple{
-				SKSeed: tr.SKSeed, SKPRF: tr.SKPRF, PKSeed: tr.PKSeed,
-			}, opts)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			futs = append(futs, fut)
-		}
-	} else {
-		futs = make([]*Future, 0, req.Count)
-		for i := 0; i < req.Count; i++ {
-			fut, err := s.SubmitKeyGenOpts(nil, opts)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			futs = append(futs, fut)
-		}
+		n = len(req.Seeds) // deterministic path: Count ignored
+	}
+	items, ok := schedItems(w, r, n, req.DeadlineMs, nil, nil)
+	if !ok {
+		return
+	}
+	for i, tr := range req.Seeds {
+		items[i].Seed = &core.SeedTriple{SKSeed: tr.SKSeed, SKPRF: tr.SKPRF, PKSeed: tr.PKSeed}
+	}
+	res, err := s.submitWait(r.Context(), Request{Kind: KindKeyGen, Items: items})
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	resp := keygenResponse{Params: s.cfg.Params.Name}
-	for _, fut := range futs {
-		res, err := fut.Wait(r.Context())
-		if err != nil {
-			writeError(w, err)
-			return
-		}
+	for _, res := range res {
 		resp.Keys = append(resp.Keys, keygenKey{
 			PublicKey:  res.Key.PublicKey.Bytes(),
 			PrivateKey: res.Key.Bytes(),

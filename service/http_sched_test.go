@@ -105,7 +105,7 @@ func TestHTTPDeadlinePrecedence(t *testing.T) {
 	defer svc.Close() // before ts.Close: draining unblocks the pending handler
 
 	for i := 0; i < 90; i++ {
-		if _, err := svc.SubmitSign([]byte(fmt.Sprintf("occupant-%d", i))); err != nil {
+		if _, err := submitSign(svc, []byte(fmt.Sprintf("occupant-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestHTTP504ExpiredInQueue(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	if _, err := svc.SubmitSign([]byte("occupant")); err != nil {
+	if _, err := submitSign(svc, []byte("occupant")); err != nil {
 		t.Fatal(err)
 	}
 	timer := time.AfterFunc(100*time.Millisecond, func() { close(unblock) })

@@ -215,7 +215,7 @@ func TestHTTP429Shape(t *testing.T) {
 
 	// Occupy the single admission slot of each shard... there is one shard;
 	// its lone slot holds a request that coalesces until Close.
-	if _, err := svc.SubmitSign([]byte("occupant")); err != nil {
+	if _, err := submitSign(svc, []byte("occupant")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -128,7 +128,7 @@ func TestChaosGoodputInvariants(t *testing.T) {
 	futs := make([]*service.Future, n)
 	for i := range msgs {
 		msgs[i] = []byte(fmt.Sprintf("chaos-%d", i))
-		fut, err := front.SubmitSign(msgs[i])
+		fut, err := submitSign(front, msgs[i])
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -145,7 +145,7 @@ func (o Options) withDefaults() Options {
 
 // Fleet is one group of leaf servers behind a shared transport and health
 // checker. Backends hands out one service.Backend per leaf; register them
-// with herosign.WithBackend (or service.WithBackends) on the front end.
+// with service.WithBackends on the front end.
 type Fleet struct {
 	opts   Options
 	tr     *transport

@@ -90,7 +90,7 @@ func TestFleetProxySignByteIdentical(t *testing.T) {
 	defer front.Close()
 
 	msgs := [][]byte{[]byte("proxy-0"), []byte("proxy-1"), []byte("proxy-2")}
-	futs, err := front.SubmitSignBatch("", msgs)
+	futs, err := submitBatch(front, msgs)
 	if err != nil {
 		t.Fatalf("proxied batch sign: %v", err)
 	}
@@ -112,14 +112,14 @@ func TestFleetProxySignByteIdentical(t *testing.T) {
 	}
 
 	// Verify through the proxy too.
-	vf, err := front.SubmitVerify(msgs[0], sigs[0])
+	vf, err := submitOne(front, service.KindVerify, "", service.Item{Msg: msgs[0], Sig: sigs[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res, err := vf.Wait(ctx); err != nil || !res.Valid {
 		t.Fatalf("proxied verify: %+v err=%v", res, err)
 	}
-	vf, err = front.SubmitVerify([]byte("tampered"), sigs[0])
+	vf, err = submitOne(front, service.KindVerify, "", service.Item{Msg: []byte("tampered"), Sig: sigs[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,4 +625,27 @@ func TestBackendBeforeWarm(t *testing.T) {
 		!strings.Contains(err.Error(), "before Warm") {
 		t.Fatalf("RunBatch before Warm: %v", err)
 	}
+}
+
+// submitOne submits a single item of kind under keyID on the front.
+func submitOne(front *service.Service, kind service.Kind, keyID string, it service.Item) (*service.Future, error) {
+	futs, err := front.Submit(context.Background(), service.Request{Kind: kind, KeyID: keyID, Items: []service.Item{it}})
+	if err != nil {
+		return nil, err
+	}
+	return futs[0], nil
+}
+
+// submitSign submits one message for signing on the front.
+func submitSign(front *service.Service, msg []byte) (*service.Future, error) {
+	return submitOne(front, service.KindSign, "", service.Item{Msg: msg})
+}
+
+// submitBatch submits msgs for signing as one all-or-nothing batch.
+func submitBatch(front *service.Service, msgs [][]byte) ([]*service.Future, error) {
+	items := make([]service.Item, len(msgs))
+	for i, m := range msgs {
+		items[i].Msg = m
+	}
+	return front.Submit(context.Background(), service.Request{Kind: service.KindSign, Items: items})
 }

@@ -9,6 +9,12 @@
 // pools above them, a shard router on top, a front end (HTTP/JSON, see
 // Handler) above everything.
 //
+// All work enters through one call, Submit: a Request names the job kind
+// and key domain and carries one Item per message, pair or seed, each with
+// its own deadline and tenant. A single item is admitted on its own;
+// several are admitted all-or-nothing. Sign, Verify and KeyGen are blocking
+// helpers over Submit, and every HTTP endpoint is a thin adapter onto it.
+//
 // Each shard owns its own keypair (derived deterministically from the
 // service master key); the router maps key IDs to shards, so a single
 // service signs under several key domains at once.
@@ -22,6 +28,7 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -379,16 +386,27 @@ func (s *Service) PublicKeyFor(keyID string) (*PublicKey, error) {
 	return &sh.key.PublicKey, nil
 }
 
-// SubmitOpts carries the optional scheduling attributes of one submission.
-// The zero value — no deadline, default tenant — behaves exactly like the
-// pre-deadline API.
-type SubmitOpts struct {
+// Request is one submission to Submit: Items of one Kind under one key
+// domain.
+type Request struct {
+	Kind Kind
+	// KeyID names the key domain. "" routes to the least-loaded shard,
+	// except for verification on a multi-shard service, where each item is
+	// checked against every shard's key. For keygen it only picks the
+	// shard that runs the derivation.
+	KeyID string
+	Items []Item
+}
+
+// Item is one unit of work and its scheduling attributes. Sign reads Msg,
+// verify reads Msg and Sig, keygen reads Seed (nil draws fresh seeds from
+// crypto/rand).
+type Item struct {
+	Msg, Sig []byte
+	Seed     *core.SeedTriple
 	// Deadline is the client's absolute completion deadline (zero = none).
-	// Admission pre-rejects work whose estimated queue wait already exceeds
-	// it (429, Scope "deadline") and an already-expired deadline fails
-	// immediately with ErrDeadlineExceeded without consuming a queue slot;
-	// admitted work flushes EDF and is dropped unexecuted if it expires in
-	// the queue.
+	// Admitted work flushes earliest-deadline-first and is dropped
+	// unexecuted with ErrDeadlineExceeded if it expires in the queue.
 	Deadline time.Time
 	// Tenant is the API key the work is charged to ("" = DefaultTenant).
 	// With WithTenantRate configured, each tenant's admissions draw from its
@@ -396,318 +414,114 @@ type SubmitOpts struct {
 	Tenant string
 }
 
-// prepare stamps the request with opts' scheduling attributes.
-func (s *Service) prepare(r *request, opts SubmitOpts) *request {
-	r.deadline = opts.Deadline
-	r.tenant = s.tenants.get(opts.Tenant)
-	return r
-}
-
-// admit charges one message against the tenant's token bucket and the
-// global and shard admission gates (applying the shed policy on overflow),
-// after pre-rejecting work that cannot meet its deadline: an expired
-// deadline fails with ErrDeadlineExceeded, and a deadline nearer than the
-// shard's estimated queue wait fails 429 — cheaper than queuing work that
-// would only be dropped later. On success the request carries a release
-// hook that refunds the slots when its future resolves.
-func (s *Service) admit(sh *shard, kind Kind, r *request) error {
-	now := time.Now()
-	t := r.tenant
-	if !r.deadline.IsZero() {
-		if !r.deadline.After(now) {
-			t.rejectedDeadline.Add(1)
-			return ErrDeadlineExceeded
-		}
-		if wait := sh.queueWait(); wait > 0 && now.Add(wait).After(r.deadline) {
-			t.rejectedDeadline.Add(1)
-			return &OverloadError{Scope: "deadline", RetryAfter: wait}
-		}
+// Submit queues req's items for coalesced execution and returns one future
+// per item, in order. Inputs are copied before Submit returns; an empty
+// request returns nil, nil.
+//
+// Admission follows from the number of items. A single item is admitted on
+// its own: an expired deadline fails ErrDeadlineExceeded and a deadline
+// nearer than the shard's estimated queue wait fails 429 (Scope
+// "deadline"), both without taking a queue slot; under DropOldestDeadline
+// it may shed a still-coalescing request to make room, and may itself be
+// shed later. Several items are admitted all-or-nothing: either every item
+// is admitted or none is and an *OverloadError is returned, so a rejected
+// batch does no work and is cheap to retry. Tenant tokens are charged the
+// same way, grouped per tenant. A batch that could never fit the admission
+// caps or a tenant's burst fails ErrBatchTooLarge (split it). Batch members
+// are pinned against shedding, and their deadlines do not pre-reject the
+// batch: a member whose deadline lapses in the queue fails on its own.
+//
+// Verification with KeyID "" on a multi-shard service admits each item
+// separately on every shard (a rate-limited tenant pays one token per
+// shard). Its future resolves valid when any shard validates the pair,
+// invalid only when every shard checked it, and with an error when a shard
+// could not be consulted and none validated it.
+//
+// ctx only refuses work whose caller is already gone; admitted work runs
+// whatever happens to ctx afterwards (Future.Wait takes its own).
+func (s *Service) Submit(ctx context.Context, req Request) ([]*Future, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if t.bucket != nil {
-		if ok, wait := t.bucket.take(1, now); !ok {
-			t.rejectedRate.Add(1)
-			return &OverloadError{Scope: "tenant", Tenant: t.name, RetryAfter: wait}
-		}
-	}
-	rt := s.router
-	if !rt.global.tryAcquire(1) {
-		if !(s.cfg.ShedPolicy == DropOldestDeadline && s.shedOne(sh, kind) && rt.global.tryAcquire(1)) {
-			rt.rejectedGlobal.Add(1)
-			t.rejectedOverload.Add(1)
-			if t.bucket != nil {
-				t.bucket.refund(1)
-			}
-			return &OverloadError{Scope: "global", RetryAfter: rt.globalRetryAfter()}
-		}
-	}
-	if !sh.gate.tryAcquire(1) {
-		if !(s.cfg.ShedPolicy == DropOldestDeadline && s.shedOne(sh, kind) && sh.gate.tryAcquire(1)) {
-			rt.global.release(1)
-			sh.rejected.Add(1)
-			t.rejectedOverload.Add(1)
-			if t.bucket != nil {
-				t.bucket.refund(1)
-			}
-			return &OverloadError{Scope: "shard", RetryAfter: sh.retryAfter()}
-		}
-	}
-	r.release = func() {
-		sh.gate.release(1)
-		rt.global.release(1)
-	}
-	r.enqueued = now
-	t.queued.Add(1)
-	t.admitted.Add(1)
-	return nil
-}
-
-// shedOne evicts the still-coalescing request of the same kind with the
-// nearest client deadline (oldest arrival when none carries one) from the
-// shard, resolving it with ErrOverloaded; its release refunds the slots the
-// caller is about to claim.
-func (s *Service) shedOne(sh *shard, kind Kind) bool {
-	old := s.batchers[sh.id].byKind(kind).evictNearestDeadline()
-	if old == nil {
-		return false
-	}
-	sh.shed.Add(1)
-	if old.tenant != nil {
-		old.tenant.shed.Add(1)
-	}
-	old.resolve(Result{}, &OverloadError{Scope: "shard", RetryAfter: sh.retryAfter()})
-	return true
-}
-
-// submitTo admits r into the shard and hands it to the shard's coalescer.
-func (s *Service) submitTo(sh *shard, kind Kind, r *request) error {
-	if err := s.admit(sh, kind, r); err != nil {
-		return err
-	}
-	if err := s.batchers[sh.id].byKind(kind).submit(r); err != nil {
-		r.release()
-		r.release = nil
-		// Undo the tenant accounting admit charged: the request was never
-		// queued, so resolve (which would drain it) will not run.
-		r.tenant.queued.Add(-1)
-		r.tenant.admitted.Add(-1)
-		if r.tenant.bucket != nil {
-			r.tenant.bucket.refund(1)
-		}
-		r.tenant = nil
-		return err
-	}
-	return nil
-}
-
-// SubmitSign queues one message for coalesced signing on a weighted-routed
-// shard and returns its future immediately.
-func (s *Service) SubmitSign(msg []byte) (*Future, error) { return s.SubmitSignKey("", msg) }
-
-// SubmitSignKey queues one message for signing under a specific key domain
-// ("" routes to the least-loaded shard).
-func (s *Service) SubmitSignKey(keyID string, msg []byte) (*Future, error) {
-	return s.SubmitSignOpts(keyID, msg, SubmitOpts{})
-}
-
-// SubmitSignOpts is SubmitSignKey with scheduling attributes: a client
-// deadline (EDF flush ordering, admission pre-rejection) and a tenant the
-// work is charged to.
-func (s *Service) SubmitSignOpts(keyID string, msg []byte, opts SubmitOpts) (*Future, error) {
-	sh, err := s.router.shardFor(keyID)
+	sh, err := s.router.shardFor(req.KeyID)
 	if err != nil {
 		return nil, err
 	}
-	r := s.prepare(&request{msg: append([]byte(nil), msg...), fut: newFuture()}, opts)
-	if err := s.submitTo(sh, KindSign, r); err != nil {
-		return nil, err
-	}
-	return r.fut, nil
-}
-
-// SubmitSignBatch queues a set of messages for signing under one key
-// domain ("" routes to the least-loaded shard) with all-or-nothing
-// admission: either every message is admitted (one future each) or none is
-// and ErrOverloaded is returned — a rejected batch does no signing work. A
-// batch that could never fit the admission caps even on an idle service
-// fails with ErrBatchTooLarge instead (retrying cannot help; split it).
-// Admitted members are exempt from drop-oldest-deadline shedding, so
-// competing traffic cannot waste the batch by evicting one of them.
-func (s *Service) SubmitSignBatch(keyID string, msgs [][]byte) ([]*Future, error) {
-	return s.SubmitSignBatchOpts(keyID, msgs, nil)
-}
-
-// SubmitSignBatchOpts is SubmitSignBatch with per-member scheduling
-// attributes: opts is nil (all defaults) or exactly one entry per message.
-// Tenant charging is grouped and all-or-nothing like the slot admission —
-// either every member's tenant has tokens or the whole batch is rejected
-// with nothing charged; a member count above its tenant's burst can never
-// fit and fails ErrBatchTooLarge. Per-member deadlines do not pre-reject
-// the batch (all-or-nothing would reject every member for one stale
-// deadline); a member whose deadline expires in the queue resolves
-// ErrDeadlineExceeded individually before any signing work is spent on it.
-func (s *Service) SubmitSignBatchOpts(keyID string, msgs [][]byte, opts []SubmitOpts) ([]*Future, error) {
-	sh, err := s.router.shardFor(keyID)
-	if err != nil {
-		return nil, err
-	}
-	if len(msgs) == 0 {
+	if len(req.Items) == 0 {
 		return nil, nil
 	}
-	members, undoBatch, err := s.admitBatch(sh, len(msgs), opts, "messages")
-	if err != nil {
-		return nil, err
+	futs := make([]*Future, len(req.Items))
+	if req.Kind == KindVerify && req.KeyID == "" && len(s.router.shards) > 1 {
+		for i, it := range req.Items {
+			if futs[i], err = s.verifyAnyShard(it); err != nil {
+				return nil, err
+			}
+		}
+		return futs, nil
 	}
-	futs := make([]*Future, 0, len(msgs))
-	b := s.batchers[sh.id].byKind(KindSign)
-	for i, msg := range msgs {
-		r := members[i]
-		r.msg = append([]byte(nil), msg...)
-		if err := b.submit(r); err != nil {
-			// Closed mid-batch: refund the slots and tenant accounting of the
-			// never-submitted tail; already-submitted futures resolve through
-			// the drain.
-			r.release = nil
-			r.tenant = nil
-			undoBatch(i)
+	reqs := make([]*request, len(req.Items))
+	for i, it := range req.Items {
+		if reqs[i], err = s.newRequest(req.Kind, it); err != nil {
 			return nil, err
 		}
-		futs = append(futs, r.fut)
+		futs[i] = reqs[i].fut
+	}
+	if err := s.enqueue(sh, req.Kind, reqs); err != nil {
+		return nil, err
 	}
 	return futs, nil
 }
 
-// admitBatch performs all-or-nothing admission of an n-member batch into
-// the shard: the capacity-fit check, grouped per-tenant token charging and
-// the global+shard gate acquisition. On success it returns one prepared
-// pinned request per member (deadline/tenant/release stamped; msg/sig left
-// for the caller) plus an undo hook that refunds members [from, n) after a
-// mid-submit failure. On rejection nothing stays charged.
-func (s *Service) admitBatch(sh *shard, n int, opts []SubmitOpts, unit string) ([]*request, func(from int), error) {
-	if opts != nil && len(opts) != n {
-		return nil, nil, fmt.Errorf("service: %d %s but %d submit options", n, unit, len(opts))
+// newRequest copies one item's inputs into a request stamped with its
+// scheduling attributes.
+func (s *Service) newRequest(kind Kind, it Item) (*request, error) {
+	r := &request{
+		msg:      append([]byte(nil), it.Msg...),
+		sig:      append([]byte(nil), it.Sig...),
+		fut:      newFuture(),
+		deadline: it.Deadline,
+		tenant:   s.tenants.get(it.Tenant),
 	}
-	rt := s.router
-	k := int64(n)
-	shardCap, globalCap := sh.gate.cap(), rt.global.cap()
-	if (shardCap > 0 && k > shardCap) || (globalCap > 0 && k > globalCap) {
-		return nil, nil, fmt.Errorf("%w: %d %s against caps shard=%d global=%d",
-			ErrBatchTooLarge, k, unit, shardCap, globalCap)
+	if kind != KindKeyGen {
+		return r, nil
 	}
-
-	// Group the members by tenant for all-or-nothing bucket charging.
-	perMember := make([]*tenantState, n)
-	var states []*tenantState
-	var counts []int64
-	index := make(map[*tenantState]int)
-	for i := 0; i < n; i++ {
-		var name string
-		if opts != nil {
-			name = opts[i].Tenant
+	if seed := it.Seed; seed != nil {
+		r.seed = core.SeedTriple{
+			SKSeed: append([]byte(nil), seed.SKSeed...),
+			SKPRF:  append([]byte(nil), seed.SKPRF...),
+			PKSeed: append([]byte(nil), seed.PKSeed...),
 		}
-		t := s.tenants.get(name)
-		perMember[i] = t
-		j, ok := index[t]
-		if !ok {
-			j = len(states)
-			index[t] = j
-			states = append(states, t)
-			counts = append(counts, 0)
-		}
-		counts[j]++
+		return r, nil
 	}
-	now := time.Now()
-	for j, t := range states {
-		if t.bucket != nil && float64(counts[j]) > t.bucket.burst {
-			return nil, nil, fmt.Errorf("%w: %d %s against tenant %q burst %d",
-				ErrBatchTooLarge, counts[j], unit, t.name, int(t.bucket.burst))
-		}
+	n := s.cfg.Params.N
+	buf := make([]byte, 3*n)
+	if _, err := rand.Read(buf); err != nil {
+		return nil, err
 	}
-	if t, wait := chargeCounts(states, counts, now); t != nil {
-		t.rejectedRate.Add(1)
-		return nil, nil, &OverloadError{Scope: "tenant", Tenant: t.name, RetryAfter: wait}
-	}
-	if !rt.global.tryAcquire(k) {
-		refundCounts(states, counts)
-		rt.rejectedGlobal.Add(1)
-		for _, t := range states {
-			t.rejectedOverload.Add(1)
-		}
-		return nil, nil, &OverloadError{Scope: "global", RetryAfter: rt.globalRetryAfter()}
-	}
-	if !sh.gate.tryAcquire(k) {
-		rt.global.release(k)
-		refundCounts(states, counts)
-		sh.rejected.Add(1)
-		for _, t := range states {
-			t.rejectedOverload.Add(1)
-		}
-		return nil, nil, &OverloadError{Scope: "shard", RetryAfter: sh.retryAfter()}
-	}
-
-	release := func() {
-		sh.gate.release(1)
-		rt.global.release(1)
-	}
-	members := make([]*request, n)
-	for i := 0; i < n; i++ {
-		t := perMember[i]
-		t.queued.Add(1)
-		t.admitted.Add(1)
-		r := &request{fut: newFuture(), release: release, pinned: true, enqueued: now, tenant: t}
-		if opts != nil {
-			r.deadline = opts[i].Deadline
-		}
-		members[i] = r
-	}
-	undo := func(from int) {
-		for j := from; j < n; j++ {
-			release()
-			t := perMember[j]
-			t.queued.Add(-1)
-			t.admitted.Add(-1)
-			if t.bucket != nil {
-				t.bucket.refund(1)
-			}
-		}
-	}
-	return members, undo, nil
+	r.seed = core.SeedTriple{SKSeed: buf[:n], SKPRF: buf[n : 2*n], PKSeed: buf[2*n:]}
+	return r, nil
 }
 
-// SubmitVerify queues one (message, signature) pair for coalesced
-// verification. With a single shard the pair checks against its key; with
-// several shards the verdict is valid when any shard's key validates it —
-// pass the signing key ID to SubmitVerifyKey to check one domain (and spend
-// one admission slot instead of one per shard). An invalid verdict is only
-// returned when every shard actually checked the pair; if any shard could
-// not be consulted (overload, shutdown) and no shard validated it, the
-// future resolves with that error instead of a false negative.
-func (s *Service) SubmitVerify(msg, sig []byte) (*Future, error) {
-	return s.SubmitVerifyOpts(msg, sig, SubmitOpts{})
-}
-
-// SubmitVerifyOpts is SubmitVerify with scheduling attributes. The
-// multi-shard fan-out admits one request per shard consulted, so a tenant
-// with rate limiting configured is charged one token per shard — name the
-// key domain via SubmitVerifyKeyOpts to spend exactly one.
-func (s *Service) SubmitVerifyOpts(msg, sig []byte, opts SubmitOpts) (*Future, error) {
-	shards := s.router.shards
-	// Copy once; the per-shard requests share the buffers (never mutated).
-	msg = append([]byte(nil), msg...)
-	sig = append([]byte(nil), sig...)
-	if len(shards) == 1 {
-		return s.submitVerifyShared(shards[0], msg, sig, opts)
+// verifyAnyShard submits one pair to every shard and returns a master
+// future carrying the any-shard verdict. The per-shard requests share one
+// copy of the buffers (never mutated).
+func (s *Service) verifyAnyShard(it Item) (*Future, error) {
+	base, err := s.newRequest(KindVerify, it)
+	if err != nil {
+		return nil, err
 	}
-	subs := make([]*Future, 0, len(shards))
+	subs := make([]*Future, 0, len(s.router.shards))
 	var submitErr error
-	for _, sh := range shards {
-		fut, err := s.submitVerifyShared(sh, msg, sig, opts)
-		if err != nil {
+	for _, sh := range s.router.shards {
+		r := *base
+		r.fut = newFuture()
+		if err := s.enqueue(sh, KindVerify, []*request{&r}); err != nil {
 			if submitErr == nil {
 				submitErr = err
 			}
 			continue
 		}
-		subs = append(subs, fut)
+		subs = append(subs, r.fut)
 	}
 	if len(subs) == 0 {
 		return nil, submitErr
@@ -743,157 +557,207 @@ func (s *Service) SubmitVerifyOpts(msg, sig []byte, opts SubmitOpts) (*Future, e
 	return master, nil
 }
 
-// SubmitVerifyKey queues one (message, signature) pair for verification
-// against a specific key domain ("" falls back to SubmitVerify semantics).
-func (s *Service) SubmitVerifyKey(keyID string, msg, sig []byte) (*Future, error) {
-	return s.SubmitVerifyKeyOpts(keyID, msg, sig, SubmitOpts{})
+// enqueue admits reqs into the shard and hands them to its coalescer. When
+// the coalescer closes part-way, the never-queued tail is refunded (slots,
+// tenant tokens and counters) and ErrClosed returned; members already
+// queued resolve through the drain.
+func (s *Service) enqueue(sh *shard, kind Kind, reqs []*request) error {
+	if err := s.admit(sh, kind, reqs); err != nil {
+		return err
+	}
+	b := s.batchers[sh.id].byKind(kind)
+	for i, r := range reqs {
+		if err := b.submit(r); err != nil {
+			for _, r := range reqs[i:] {
+				r.release()
+				r.release = nil
+				// resolve will not run for these, so undo admit's tenant
+				// accounting here.
+				t := r.tenant
+				t.queued.Add(-1)
+				t.admitted.Add(-1)
+				if t.bucket != nil {
+					t.bucket.refund(1)
+				}
+				r.tenant = nil
+			}
+			return err
+		}
+	}
+	return nil
 }
 
-// SubmitVerifyKeyOpts is SubmitVerifyKey with scheduling attributes.
-func (s *Service) SubmitVerifyKeyOpts(keyID string, msg, sig []byte, opts SubmitOpts) (*Future, error) {
-	if keyID == "" {
-		return s.SubmitVerifyOpts(msg, sig, opts)
+// admit charges reqs against their tenants' token buckets and the global
+// and shard admission gates, with Submit's semantics: a lone request is
+// first pre-rejected on its deadline and may shed to make room; several
+// requests must fit the caps and their tenants' bursts, and are admitted
+// all-or-nothing and pinned. On success each request carries a release hook
+// that refunds its slots when its future resolves; on rejection nothing
+// stays charged.
+func (s *Service) admit(sh *shard, kind Kind, reqs []*request) error {
+	now := time.Now()
+	rt := s.router
+	k := int64(len(reqs))
+	alone := k == 1
+	if r := reqs[0]; alone && !r.deadline.IsZero() {
+		if !r.deadline.After(now) {
+			r.tenant.rejectedDeadline.Add(1)
+			return ErrDeadlineExceeded
+		}
+		if wait := sh.queueWait(); wait > 0 && now.Add(wait).After(r.deadline) {
+			r.tenant.rejectedDeadline.Add(1)
+			return &OverloadError{Scope: "deadline", RetryAfter: wait}
+		}
 	}
-	sh, err := s.router.shardFor(keyID)
-	if err != nil {
-		return nil, err
+	shardCap, globalCap := sh.gate.cap(), rt.global.cap()
+	if (shardCap > 0 && k > shardCap) || (globalCap > 0 && k > globalCap) {
+		return fmt.Errorf("%w: %d items against caps shard=%d global=%d",
+			ErrBatchTooLarge, k, shardCap, globalCap)
 	}
-	return s.submitVerifyShared(sh,
-		append([]byte(nil), msg...), append([]byte(nil), sig...), opts)
+
+	// Group by tenant for all-or-nothing bucket charging.
+	var states []*tenantState
+	var counts []int64
+	for _, r := range reqs {
+		j := slices.Index(states, r.tenant)
+		if j < 0 {
+			j = len(states)
+			states = append(states, r.tenant)
+			counts = append(counts, 0)
+		}
+		counts[j]++
+	}
+	for j, t := range states {
+		if t.bucket != nil && float64(counts[j]) > t.bucket.burst {
+			return fmt.Errorf("%w: %d items against tenant %q burst %d",
+				ErrBatchTooLarge, counts[j], t.name, int(t.bucket.burst))
+		}
+	}
+	if t, wait := chargeCounts(states, counts, now); t != nil {
+		t.rejectedRate.Add(1)
+		return &OverloadError{Scope: "tenant", Tenant: t.name, RetryAfter: wait}
+	}
+	reject := func(scope string, retryAfter time.Duration) error {
+		refundCounts(states, counts)
+		for _, t := range states {
+			t.rejectedOverload.Add(1)
+		}
+		return &OverloadError{Scope: scope, RetryAfter: retryAfter}
+	}
+	shed := alone && s.cfg.ShedPolicy == DropOldestDeadline
+	if !rt.global.tryAcquire(k) && !(shed && s.shedOne(sh, kind) && rt.global.tryAcquire(k)) {
+		rt.rejectedGlobal.Add(1)
+		return reject("global", rt.globalRetryAfter())
+	}
+	if !sh.gate.tryAcquire(k) && !(shed && s.shedOne(sh, kind) && sh.gate.tryAcquire(k)) {
+		rt.global.release(k)
+		sh.rejected.Add(1)
+		return reject("shard", sh.retryAfter())
+	}
+
+	release := func() {
+		sh.gate.release(1)
+		rt.global.release(1)
+	}
+	for _, r := range reqs {
+		r.release, r.enqueued, r.pinned = release, now, !alone
+		r.tenant.queued.Add(1)
+		r.tenant.admitted.Add(1)
+	}
+	return nil
 }
 
-// SubmitVerifyBatchKey queues a set of (message, signature) pairs for
-// verification against one key domain ("" routes to the least-loaded
-// shard) with the same all-or-nothing admission as SubmitSignBatch: either
-// every pair is admitted (one future each) or none is and ErrOverloaded is
-// returned — a rejected batch does no verification work and a retry after
-// Retry-After is cheap. A batch that could never fit the admission caps
-// fails with ErrBatchTooLarge (split it). Admitted members are pinned
-// against drop-oldest-deadline shedding. Keeping the pairs together also
-// lets the backend lane-batch their hash work across signatures.
+// shedOne evicts the still-coalescing request of the same kind with the
+// nearest client deadline (oldest arrival when none carries one) from the
+// shard, resolving it with ErrOverloaded; its release refunds the slots the
+// caller is about to claim.
+func (s *Service) shedOne(sh *shard, kind Kind) bool {
+	old := s.batchers[sh.id].byKind(kind).evictNearestDeadline()
+	if old == nil {
+		return false
+	}
+	sh.shed.Add(1)
+	if old.tenant != nil {
+		old.tenant.shed.Add(1)
+	}
+	old.resolve(Result{}, &OverloadError{Scope: "shard", RetryAfter: sh.retryAfter()})
+	return true
+}
+
+// itemsOf pairs msgs with sigs (nil for sign) into default-scheduled items.
+func itemsOf(msgs, sigs [][]byte) []Item {
+	items := make([]Item, len(msgs))
+	for i, m := range msgs {
+		items[i].Msg = m
+		if sigs != nil {
+			items[i].Sig = sigs[i]
+		}
+	}
+	return items
+}
+
+// SubmitSignBatch submits one sign item per message.
+//
+// Deprecated: use Submit. Kept only because the frozen perfbench ladder
+// calls it; drop it with the next benchmark change.
+func (s *Service) SubmitSignBatch(keyID string, msgs [][]byte) ([]*Future, error) {
+	return s.Submit(context.Background(), Request{Kind: KindSign, KeyID: keyID, Items: itemsOf(msgs, nil)})
+}
+
+// SubmitVerifyBatchKey submits one verify item per (message, signature)
+// pair.
+//
+// Deprecated: use Submit. Kept only because the frozen perfbench ladder
+// calls it; drop it with the next benchmark change.
 func (s *Service) SubmitVerifyBatchKey(keyID string, msgs, sigs [][]byte) ([]*Future, error) {
-	return s.SubmitVerifyBatchKeyOpts(keyID, msgs, sigs, nil)
-}
-
-// SubmitVerifyBatchKeyOpts is SubmitVerifyBatchKey with per-member
-// scheduling attributes (nil, or one entry per pair), with the same
-// all-or-nothing tenant charging and per-member deadline semantics as
-// SubmitSignBatchOpts.
-func (s *Service) SubmitVerifyBatchKeyOpts(keyID string, msgs, sigs [][]byte, opts []SubmitOpts) ([]*Future, error) {
 	if len(msgs) != len(sigs) {
 		return nil, fmt.Errorf("service: %d messages but %d signatures", len(msgs), len(sigs))
 	}
-	sh, err := s.router.shardFor(keyID)
+	return s.Submit(context.Background(), Request{Kind: KindVerify, KeyID: keyID, Items: itemsOf(msgs, sigs)})
+}
+
+// submitWait submits req and waits for every item, failing on the first
+// error.
+func (s *Service) submitWait(ctx context.Context, req Request) ([]Result, error) {
+	futs, err := s.Submit(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	if len(msgs) == 0 {
-		return nil, nil
-	}
-	members, undoBatch, err := s.admitBatch(sh, len(msgs), opts, "pairs")
-	if err != nil {
-		return nil, err
-	}
-	futs := make([]*Future, 0, len(msgs))
-	b := s.batchers[sh.id].byKind(KindVerify)
-	for i := range msgs {
-		r := members[i]
-		r.msg = append([]byte(nil), msgs[i]...)
-		r.sig = append([]byte(nil), sigs[i]...)
-		if err := b.submit(r); err != nil {
-			// Closed mid-batch: refund the slots and tenant accounting of the
-			// never-submitted tail; already-submitted futures resolve through
-			// the drain.
-			r.release = nil
-			r.tenant = nil
-			undoBatch(i)
+	res := make([]Result, len(futs))
+	for i, fut := range futs {
+		if res[i], err = fut.Wait(ctx); err != nil {
 			return nil, err
 		}
-		futs = append(futs, r.fut)
 	}
-	return futs, nil
-}
-
-// submitVerifyShared submits without copying: the caller guarantees the
-// buffers stay untouched until the future resolves.
-func (s *Service) submitVerifyShared(sh *shard, msg, sig []byte, opts SubmitOpts) (*Future, error) {
-	r := s.prepare(&request{msg: msg, sig: sig, fut: newFuture()}, opts)
-	if err := s.submitTo(sh, KindVerify, r); err != nil {
-		return nil, err
-	}
-	return r.fut, nil
-}
-
-// SubmitKeyGen queues one key derivation on the least-loaded shard (key
-// generation is independent of the shard's signing key). With a nil seed
-// triple, fresh seeds are drawn from crypto/rand.
-func (s *Service) SubmitKeyGen(seed *core.SeedTriple) (*Future, error) {
-	return s.SubmitKeyGenOpts(seed, SubmitOpts{})
-}
-
-// SubmitKeyGenOpts is SubmitKeyGen with scheduling attributes.
-func (s *Service) SubmitKeyGenOpts(seed *core.SeedTriple, opts SubmitOpts) (*Future, error) {
-	var tr core.SeedTriple
-	if seed != nil {
-		// Copy the components: the future resolves asynchronously, and a
-		// caller may reuse (or zero) its seed buffers after Submit returns.
-		tr = core.SeedTriple{
-			SKSeed: append([]byte(nil), seed.SKSeed...),
-			SKPRF:  append([]byte(nil), seed.SKPRF...),
-			PKSeed: append([]byte(nil), seed.PKSeed...),
-		}
-	} else {
-		n := s.cfg.Params.N
-		buf := make([]byte, 3*n)
-		if _, err := rand.Read(buf); err != nil {
-			return nil, err
-		}
-		tr = core.SeedTriple{SKSeed: buf[:n], SKPRF: buf[n : 2*n], PKSeed: buf[2*n:]}
-	}
-	r := s.prepare(&request{seed: tr, fut: newFuture()}, opts)
-	if err := s.submitTo(s.router.route(), KindKeyGen, r); err != nil {
-		return nil, err
-	}
-	return r.fut, nil
+	return res, nil
 }
 
 // Sign submits msg and waits for the coalesced signature.
 func (s *Service) Sign(ctx context.Context, msg []byte) ([]byte, error) {
-	fut, err := s.SubmitSign(msg)
+	res, err := s.submitWait(ctx, Request{Kind: KindSign, Items: []Item{{Msg: msg}}})
 	if err != nil {
 		return nil, err
 	}
-	res, err := fut.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return res.Sig, nil
+	return res[0].Sig, nil
 }
 
-// Verify submits (msg, sig) and waits for the verdict.
+// Verify submits (msg, sig) and waits for the verdict (any shard's key on a
+// multi-shard service).
 func (s *Service) Verify(ctx context.Context, msg, sig []byte) (bool, error) {
-	fut, err := s.SubmitVerify(msg, sig)
+	res, err := s.submitWait(ctx, Request{Kind: KindVerify, Items: []Item{{Msg: msg, Sig: sig}}})
 	if err != nil {
 		return false, err
 	}
-	res, err := fut.Wait(ctx)
-	if err != nil {
-		return false, err
-	}
-	return res.Valid, nil
+	return res[0].Valid, nil
 }
 
 // KeyGen derives one fresh key pair on the fleet.
 func (s *Service) KeyGen(ctx context.Context) (*PrivateKey, error) {
-	fut, err := s.SubmitKeyGen(nil)
+	res, err := s.submitWait(ctx, Request{Kind: KindKeyGen, Items: []Item{{}}})
 	if err != nil {
 		return nil, err
 	}
-	res, err := fut.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return res.Key, nil
+	return res[0].Key, nil
 }
 
 // Close flushes pending requests, drains the router and waits for every

@@ -78,7 +78,7 @@ func TestFleetCoalescedSignaturesIdentical(t *testing.T) {
 	futs := make([]*Future, n)
 	for i := range msgs {
 		msgs[i] = []byte(fmt.Sprintf("coalesce-%d", i))
-		fut, err := svc.SubmitSign(msgs[i])
+		fut, err := submitSign(svc, msgs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestFleetModeledSpeedup(t *testing.T) {
 
 	futs := make([]*Future, n)
 	for i := range futs {
-		fut, err := svc.SubmitSign([]byte(fmt.Sprintf("speedup-%d", i)))
+		fut, err := submitSign(svc, []byte(fmt.Sprintf("speedup-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,12 +188,12 @@ func TestServicePerMessageErrors(t *testing.T) {
 	// One empty message rides with three good ones in a single batch; the
 	// empty one must fail alone.
 	futs := make([]*Future, 0, 4)
-	empty, err := svc.SubmitSign(nil)
+	empty, err := submitSign(svc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		fut, err := svc.SubmitSign([]byte(fmt.Sprintf("good-%d", i)))
+		fut, err := submitSign(svc, []byte(fmt.Sprintf("good-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,13 +221,13 @@ func TestServicePerMessageErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := svc.SubmitVerify(msg, []byte("short"))
+	bad, err := submitOne(svc, KindVerify, "", Item{Msg: msg, Sig: []byte("short")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := make([]*Future, 0, 3)
 	for i := 0; i < 3; i++ {
-		fut, err := svc.SubmitVerify(msg, sig)
+		fut, err := submitOne(svc, KindVerify, "", Item{Msg: msg, Sig: sig})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestServiceVerifyAndKeyGen(t *testing.T) {
 		SKPRF:  bytes.Repeat([]byte{2}, p.N),
 		PKSeed: bytes.Repeat([]byte{3}, p.N),
 	}
-	fut, err := svc.SubmitKeyGen(&seed)
+	fut, err := submitOne(svc, KindKeyGen, "", Item{Seed: &seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +294,11 @@ func TestServiceVerifyAndKeyGen(t *testing.T) {
 
 	// A malformed seed triple fails alone; batch-mates still derive.
 	badSeed := core.SeedTriple{SKSeed: []byte("short"), SKPRF: seed.SKPRF, PKSeed: seed.PKSeed}
-	badFut, err := svc.SubmitKeyGen(&badSeed)
+	badFut, err := submitOne(svc, KindKeyGen, "", Item{Seed: &badSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodFut, err := svc.SubmitKeyGen(&seed)
+	goodFut, err := submitOne(svc, KindKeyGen, "", Item{Seed: &seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestServiceCloseDrains(t *testing.T) {
 	svc := newTestService(t, WithFlushDeadline(time.Hour)) // only Close can flush
 	futs := make([]*Future, 0, 5)
 	for i := 0; i < 5; i++ {
-		fut, err := svc.SubmitSign([]byte(fmt.Sprintf("drain-%d", i)))
+		fut, err := submitSign(svc, []byte(fmt.Sprintf("drain-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,13 +341,13 @@ func TestServiceCloseDrains(t *testing.T) {
 			t.Fatalf("drained future %d has no signature", i)
 		}
 	}
-	if _, err := svc.SubmitSign([]byte("late")); !errors.Is(err, ErrClosed) {
+	if _, err := submitSign(svc, []byte("late")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close = %v, want ErrClosed", err)
 	}
-	if _, err := svc.SubmitVerify([]byte("late"), nil); !errors.Is(err, ErrClosed) {
+	if _, err := submitOne(svc, KindVerify, "", Item{Msg: []byte("late"), Sig: nil}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("verify after Close = %v, want ErrClosed", err)
 	}
-	if _, err := svc.SubmitKeyGen(nil); !errors.Is(err, ErrClosed) {
+	if _, err := submitOne(svc, KindKeyGen, "", Item{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("keygen after Close = %v, want ErrClosed", err)
 	}
 }

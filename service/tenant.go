@@ -8,7 +8,7 @@ import (
 )
 
 // DefaultTenant is the accounting bucket for requests that name no API key
-// (no X-API-Key header, empty SubmitOpts.Tenant).
+// (no X-API-Key header, empty Item.Tenant).
 const DefaultTenant = "default"
 
 // maxTenants bounds the tenant registry so an attacker spraying random API

@@ -84,11 +84,11 @@ func TestTenantRateLimit429(t *testing.T) {
 	defer svc.Close()
 
 	for i := 0; i < 4; i++ {
-		if _, err := svc.SubmitSignOpts("", []byte(fmt.Sprintf("hog-%d", i)), SubmitOpts{Tenant: "hog"}); err != nil {
+		if _, err := submitOne(svc, KindSign, "", Item{Msg: []byte(fmt.Sprintf("hog-%d", i)), Tenant: "hog"}); err != nil {
 			t.Fatalf("submit %d within burst: %v", i, err)
 		}
 	}
-	_, err := svc.SubmitSignOpts("", []byte("hog-over"), SubmitOpts{Tenant: "hog"})
+	_, err := submitOne(svc, KindSign, "", Item{Msg: []byte("hog-over"), Tenant: "hog"})
 	var over *OverloadError
 	if !errors.As(err, &over) {
 		t.Fatalf("over-burst submit error = %v, want *OverloadError", err)
@@ -101,22 +101,20 @@ func TestTenantRateLimit429(t *testing.T) {
 	}
 
 	// The hog's exhaustion must not touch a neighbor's bucket.
-	if _, err := svc.SubmitSignOpts("", []byte("neighbor"), SubmitOpts{Tenant: "neighbor"}); err != nil {
+	if _, err := submitOne(svc, KindSign, "", Item{Msg: []byte("neighbor"), Tenant: "neighbor"}); err != nil {
 		t.Fatalf("neighbor submit while hog is limited: %v", err)
 	}
 
 	// A batch above the burst can never be admitted: permanent, not 429.
-	msgs := make([][]byte, 5)
-	opts := make([]SubmitOpts, 5)
-	for i := range msgs {
-		msgs[i] = []byte(fmt.Sprintf("batch-%d", i))
-		opts[i] = SubmitOpts{Tenant: "fresh"}
+	items := make([]Item, 5)
+	for i := range items {
+		items[i] = Item{Msg: []byte(fmt.Sprintf("batch-%d", i)), Tenant: "fresh"}
 	}
-	if _, err := svc.SubmitSignBatchOpts("", msgs, opts); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := svc.Submit(context.Background(), Request{Kind: KindSign, Items: items}); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("over-burst batch error = %v, want ErrBatchTooLarge", err)
 	}
 	// At the burst it fits.
-	if _, err := svc.SubmitSignBatchOpts("", msgs[:4], opts[:4]); err != nil {
+	if _, err := svc.Submit(context.Background(), Request{Kind: KindSign, Items: items[:4]}); err != nil {
 		t.Fatalf("burst-sized batch: %v", err)
 	}
 
@@ -135,10 +133,10 @@ func TestTenantBucketRefundOnGateReject(t *testing.T) {
 		WithTenantRate(0.001), WithTenantBurst(8), WithQueueLimit(1))
 	defer svc.Close()
 
-	if _, err := svc.SubmitSignOpts("", []byte("occupant"), SubmitOpts{Tenant: "r"}); err != nil {
+	if _, err := submitOne(svc, KindSign, "", Item{Msg: []byte("occupant"), Tenant: "r"}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := svc.SubmitSignOpts("", []byte("rejected"), SubmitOpts{Tenant: "r"})
+	_, err := submitOne(svc, KindSign, "", Item{Msg: []byte("rejected"), Tenant: "r"})
 	var over *OverloadError
 	if !errors.As(err, &over) || over.Scope != "shard" {
 		t.Fatalf("gate rejection = %v, want shard-scope overload", err)
@@ -207,7 +205,7 @@ func runTenantLoad(t *testing.T, policy ShedPolicy, withHot bool) tenantLoadResu
 				default:
 				}
 				hotTried.Add(1)
-				if _, err := svc.SubmitSignOpts("", msg, SubmitOpts{Tenant: "hot"}); err != nil {
+				if _, err := submitOne(svc, KindSign, "", Item{Msg: msg, Tenant: "hot"}); err != nil {
 					if !errors.Is(err, ErrOverloaded) {
 						t.Errorf("hot submit: %v", err)
 						return
@@ -226,7 +224,7 @@ func runTenantLoad(t *testing.T, policy ShedPolicy, withHot bool) tenantLoadResu
 	defer cancel()
 	for i := 0; i < quietN; i++ {
 		start := time.Now()
-		fut, err := svc.SubmitSignOpts("", []byte(fmt.Sprintf("quiet-%d", i)), SubmitOpts{Tenant: "quiet"})
+		fut, err := submitOne(svc, KindSign, "", Item{Msg: []byte(fmt.Sprintf("quiet-%d", i)), Tenant: "quiet"})
 		if err == nil {
 			if _, werr := fut.Wait(ctx); werr == nil {
 				res.done++
@@ -309,7 +307,7 @@ func TestTenantStatsAccounting(t *testing.T) {
 		WithMaxBatch(1), WithTenantRate(100), WithTenantBurst(16))
 	defer svc.Close()
 
-	fut, err := svc.SubmitSignOpts("", []byte("accounted"), SubmitOpts{Tenant: "alice"})
+	fut, err := submitOne(svc, KindSign, "", Item{Msg: []byte("accounted"), Tenant: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestSubmitVerifyBatchAllOrNothing(t *testing.T) {
 	}
 
 	// A batch that can never fit the cap is non-retryable, not a 429.
-	if _, err := svc.SubmitVerifyBatchKey("", msgs, sigs); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := submitBatch(svc, KindVerify, msgs, sigs); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("5-pair batch against limit 4 = %v, want ErrBatchTooLarge", err)
 	}
 	if _, err := svc.SubmitVerifyBatchKey("", msgs, sigs[:4]); err == nil {
@@ -40,11 +40,11 @@ func TestSubmitVerifyBatchAllOrNothing(t *testing.T) {
 
 	// A batch that fits the cap but not the current free space is a
 	// transient overload, and must not displace the occupant.
-	occupant, err := svc.SubmitSign([]byte("occupant"))
+	occupant, err := submitSign(svc, []byte("occupant"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.SubmitVerifyBatchKey("", msgs[:4], sigs[:4]); !errors.Is(err, ErrOverloaded) {
+	if _, err := submitBatch(svc, KindVerify, msgs[:4], sigs[:4]); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("4-pair batch with 1 slot taken = %v, want ErrOverloaded", err)
 	}
 	select {
@@ -61,7 +61,7 @@ func TestSubmitVerifyBatchAllOrNothing(t *testing.T) {
 	// An admitted batch resolves every pair, tampered members included.
 	tampered := append([]byte(nil), sigs[1]...)
 	tampered[90] ^= 1
-	futs, err := svc.SubmitVerifyBatchKey("", msgs[:3], [][]byte{sigs[0], tampered, sigs[2]})
+	futs, err := submitBatch(svc, KindVerify, msgs[:3], [][]byte{sigs[0], tampered, sigs[2]})
 	if err != nil {
 		t.Fatal(err)
 	}
